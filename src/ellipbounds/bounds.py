@@ -4,16 +4,18 @@ best-enclosure combiner.
 Five families are implemented:
 
 * ``vuorinen``  lower bound (pi/2) ((1 + r'^(3/2)) / 2)^(2/3)
-* ``barnard``   upper bound (pi/2) ((1 + r'^2) / 2)^(1/2)
+* ``barnard``   upper bound (pi/2) ((1 + r'^2) / 2)^(1/2), which is ``thm11``
+  at q = 1/2 (bit for bit in floating point)
 * ``alzer-qiu`` upper bound (pi/4) (sqrt(1 - a r^2) + sqrt(1 - b r^2))
 * ``thm11``     two-square-root family, parameter q in (0, 1/2]
 * ``thm12``     blended contraharmonic/arithmetic family, parameters
   t in [1/2, 1] and p in [1/2, 2]; ``cor31-lower``/``cor31-upper`` are its
   fixed-constant instances (t, p) = (lambda*, 2) and (mu*, 1/2)
 
-A parametric family is a valid lower or upper bound only on one side of its
-sharp constant; ``BoundSpec.side`` classifies with the non-strict
-comparisons under which the constants are sharp.
+Each family is one row of ``_FAMILIES``: its kernel, parameter names, fixed
+arguments and side rule.  A parametric family is a valid lower or upper
+bound only on one side of its sharp constant; ``BoundSpec.side`` classifies
+with the non-strict comparisons under which the constants are sharp.
 
 Sharp constants (30-digit reference values, from scripts/print_sharp_constants.py):
 
@@ -22,20 +24,22 @@ name           closed form                         value
 =============  ==================================  ================================
 BETA_STAR      1/2 - 2 sqrt(2 (pi^2 - 8)) / pi^2   0.108149767335905848073816460112
 ALPHA_STAR     1/2 - sqrt(2)/4                     0.146446609406726237799577818948
-ALZER_ALPHA    1/2 - sqrt(2)/4                     0.146446609406726237799577818948
 ALZER_BETA     1/2 + sqrt(2)/4                     0.853553390593273762200422181052
 LAMBDA_STAR    1/2 + sqrt(2)/8                     0.676776695296636881100211090526
 MU_STAR        1/2 + sqrt((4/pi)^2 - 1)/2          0.894061841046999989493157818631
 =============  ==================================  ================================
+
+``ALZER_ALPHA`` is another name for ``ALPHA_STAR``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, as_modulus
+from .core import HALF_PI, MeanPair, Modulus, _open_modulus
 from .errors import ConfigurationError, DomainError, InvalidBoundError
 
 __all__ = [
@@ -69,7 +73,7 @@ _PI = math.pi
 
 BETA_STAR = 0.5 - 2.0 * math.sqrt(2.0 * (_PI * _PI - 8.0)) / (_PI * _PI)
 ALPHA_STAR = 0.5 - math.sqrt(2.0) / 4.0
-ALZER_ALPHA = 0.5 - math.sqrt(2.0) / 4.0
+ALZER_ALPHA = ALPHA_STAR
 ALZER_BETA = 0.5 + math.sqrt(2.0) / 4.0
 LAMBDA_STAR = 0.5 + math.sqrt(2.0) / 8.0
 MU_STAR = 0.5 + math.sqrt((4.0 / _PI) ** 2 - 1.0) / 2.0
@@ -107,36 +111,61 @@ def thm12_upper_threshold(p: float) -> float:
     return 0.5 + math.sqrt((4.0 / _PI) ** (1.0 / p) - 1.0) / 2.0
 
 
-def _open_modulus(m: Modulus | float) -> Modulus:
-    m = as_modulus(m)
-    if not (0.0 < m.r < 1.0):
-        raise DomainError(
-            f"bound functions are defined on the open interval (0, 1), got r={m.r!r}; "
-            "use the analytic limit values at the endpoints"
-        )
-    return m
+# (low, high, low end open) per parameter name; u is the lemma 2.6 parameter
+_RANGES = {"q": (0.0, 0.5, True), "t": (0.5, 1.0, False), "p": (0.5, 2.0, False),
+           "u": (0.0, 1.0, False)}
+
+
+def _param(name: str, value: float) -> float:
+    """``float(value)``, or DomainError if it lies outside the range of
+    parameter ``name``."""
+    lo, hi, lo_open = _RANGES[name]
+    x = float(value)
+    if not ((lo < x if lo_open else lo <= x) and x <= hi):
+        left = "(" if lo_open else "["
+        raise DomainError(f"{name} must lie in {left}{lo:g}, {hi:g}], got {value!r}")
+    return x
+
+
+# Kernels: one flop sequence per distinct closed form, on a validated
+# modulus in (0, 1).
+
+def _vuorinen(m: Modulus) -> float:
+    return HALF_PI * ((1.0 + m.r_comp**1.5) / 2.0) ** (2.0 / 3.0)
+
+
+def _alzer_qiu(m: Modulus) -> float:
+    r2 = m.r * m.r
+    return _PI / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
+
+
+def _thm11(m: Modulus, q: float) -> float:
+    rc2 = m.r_comp * m.r_comp
+    return _PI / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
+
+
+def _thm12(m: Modulus, t: float, p: float) -> float:
+    rc = m.r_comp
+    x = t + (1.0 - t) * rc
+    y = (1.0 - t) + t * rc
+    return 2.0 ** (p - 2.0) * _PI * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
 
 
 def vuorinen_lower(m: Modulus | float) -> float:
     """Lower bound (pi/2) ((1 + r'^(3/2)) / 2)^(2/3); tends to 2^(-5/3) pi
     as r -> 1."""
-    m = _open_modulus(m)
-    return HALF_PI * ((1.0 + m.r_comp**1.5) / 2.0) ** (2.0 / 3.0)
+    return _vuorinen(_open_modulus(m))
 
 
 def barnard_upper(m: Modulus | float) -> float:
-    """Upper bound (pi/2) ((1 + r'^2) / 2)^(1/2)."""
-    m = _open_modulus(m)
-    rc2 = m.r_comp * m.r_comp
-    return HALF_PI * math.sqrt((1.0 + rc2) / 2.0)
+    """Upper bound (pi/2) ((1 + r'^2) / 2)^(1/2), i.e. thm11 at q = 1/2."""
+    return _thm11(_open_modulus(m), 0.5)
 
 
 def alzer_qiu_upper(m: Modulus | float) -> float:
     """Upper bound (pi/4) (sqrt(1 - a r^2) + sqrt(1 - b r^2)) with
     a = 1/2 - sqrt(2)/4 and b = 1/2 + sqrt(2)/4."""
-    m = _open_modulus(m)
-    r2 = m.r * m.r
-    return _PI / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
+    return _alzer_qiu(_open_modulus(m))
 
 
 def thm11_bound(m: Modulus | float, q: float) -> float:
@@ -146,11 +175,7 @@ def thm11_bound(m: Modulus | float, q: float) -> float:
     Lower bound of E iff q <= BETA_STAR, upper bound iff q >= ALPHA_STAR.
     """
     m = _open_modulus(m)
-    q = float(q)
-    if not (0.0 < q <= 0.5):
-        raise DomainError(f"q must lie in (0, 1/2], got {q!r}")
-    rc2 = m.r_comp * m.r_comp
-    return _PI / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
+    return _thm11(m, _param("q", q))
 
 
 def thm12_bound(m: Modulus | float, t: float, p: float) -> float:
@@ -162,15 +187,7 @@ def thm12_bound(m: Modulus | float, t: float, p: float) -> float:
     t >= thm12_upper_threshold(p).
     """
     m = _open_modulus(m)
-    t, p = float(t), float(p)
-    if not (0.5 <= t <= 1.0):
-        raise DomainError(f"t must lie in [1/2, 1], got {t!r}")
-    if not (0.5 <= p <= 2.0):
-        raise DomainError(f"p must lie in [1/2, 2], got {p!r}")
-    rc = m.r_comp
-    x = t + (1.0 - t) * rc
-    y = (1.0 - t) + t * rc
-    return 2.0 ** (p - 2.0) * _PI * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
+    return _thm12(m, _param("t", t), _param("p", p))
 
 
 class Side(Enum):
@@ -189,12 +206,33 @@ class Family(Enum):
     COR31_UPPER = "cor31-upper"
 
 
-_FIXED_SIDES = {
-    Family.VUORINEN: Side.LOWER,
-    Family.BARNARD: Side.UPPER,
-    Family.ALZER_QIU: Side.UPPER,
-    Family.COR31_LOWER: Side.LOWER,
-    Family.COR31_UPPER: Side.UPPER,
+class _Row(NamedTuple):
+    """One family: ``kernel(m, *args)`` with args the spec's ``params`` or
+    else ``fixed``; a fixed ``side``, or else the first parameter classifies
+    against ``thresholds(*other params)``, listed as defaults at ``sharp_at``."""
+
+    kernel: Callable[..., float]
+    params: tuple[str, ...] = ()
+    fixed: tuple[float, ...] = ()
+    side: Side | None = None
+    thresholds: Callable[..., tuple[float, float]] | None = None
+    threshold_names: tuple[str, str] = ("", "")
+    sharp_at: tuple[tuple[float, ...], ...] = ()
+
+
+# Parameter names are listed in BoundSpec field order (q, t, p).
+_FAMILIES = {
+    Family.VUORINEN: _Row(_vuorinen, side=Side.LOWER),
+    Family.BARNARD: _Row(_thm11, fixed=(0.5,), side=Side.UPPER),
+    Family.ALZER_QIU: _Row(_alzer_qiu, side=Side.UPPER),
+    Family.THM11: _Row(_thm11, ("q",), thresholds=lambda: (BETA_STAR, ALPHA_STAR),
+                       threshold_names=("beta_star", "alpha_star"), sharp_at=((),)),
+    Family.THM12: _Row(_thm12, ("t", "p"),
+                       thresholds=lambda p: (thm12_lower_threshold(p), thm12_upper_threshold(p)),
+                       threshold_names=("thm12_lower_threshold(p)", "thm12_upper_threshold(p)"),
+                       sharp_at=((0.5,), (1.0,), (2.0,))),
+    Family.COR31_LOWER: _Row(_thm12, fixed=(LAMBDA_STAR, 2.0), side=Side.LOWER),
+    Family.COR31_UPPER: _Row(_thm12, fixed=(MU_STAR, 0.5), side=Side.UPPER),
 }
 
 
@@ -204,72 +242,51 @@ class BoundSpec:
 
     ``side`` classifies against the sharp constants with the non-strict
     inequalities under which they are stated; parameters strictly between
-    the two thresholds give Side.INVALID.
+    the two thresholds give Side.INVALID.  The kernel, its arguments and
+    the side are resolved once, at construction.
     """
 
     family: Family
     q: float | None = None
     t: float | None = None
     p: float | None = None
+    _kernel: Callable[..., float] = field(init=False, repr=False, compare=False)
+    _args: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _side: Side = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family is Family.THM11:
-            if self.q is None:
-                raise ConfigurationError("thm11 needs parameter q")
-            if not (0.0 < self.q <= 0.5):
-                raise DomainError(f"thm11 q must lie in (0, 1/2], got {self.q!r}")
-        elif self.family is Family.THM12:
-            if self.t is None or self.p is None:
-                raise ConfigurationError("thm12 needs parameters t and p")
-            if not (0.5 <= self.t <= 1.0):
-                raise DomainError(f"thm12 t must lie in [1/2, 1], got {self.t!r}")
-            if not (0.5 <= self.p <= 2.0):
-                raise DomainError(f"thm12 p must lie in [1/2, 2], got {self.p!r}")
-        elif self.q is not None or self.t is not None or self.p is not None:
-            raise ConfigurationError(f"{self.family.value} takes no parameters")
+        row = _FAMILIES.get(self.family)
+        if row is None:
+            raise ConfigurationError(f"unknown bound family {self.family!r}")
+        given = tuple(n for n in ("q", "t", "p") if getattr(self, n) is not None)
+        if given != row.params:
+            foreign = [n for n in given if n not in row.params]
+            if foreign:
+                raise ConfigurationError(f"{self.family.value} takes no parameter(s) {foreign}")
+            missing = [n for n in row.params if n not in given]
+            raise ConfigurationError(f"{self.family.value} needs parameter(s) {missing}")
+        args = tuple(_param(n, getattr(self, n)) for n in given) or row.fixed
+        side = row.side
+        if side is None:
+            lo, hi = row.thresholds(*args[1:])
+            side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
+        object.__setattr__(self, "_kernel", row.kernel)
+        object.__setattr__(self, "_args", args)
+        object.__setattr__(self, "_side", side)
 
     @property
     def side(self) -> Side:
-        if self.family in _FIXED_SIDES:
-            return _FIXED_SIDES[self.family]
-        if self.family is Family.THM11:
-            if self.q <= BETA_STAR:
-                return Side.LOWER
-            if self.q >= ALPHA_STAR:
-                return Side.UPPER
-            return Side.INVALID
-        if self.q is not None:
-            raise ConfigurationError(f"unclassifiable spec {self!r}")
-        if self.t <= thm12_lower_threshold(self.p):
-            return Side.LOWER
-        if self.t >= thm12_upper_threshold(self.p):
-            return Side.UPPER
-        return Side.INVALID
+        return self._side
 
     @property
     def label(self) -> str:
-        if self.family is Family.THM11:
-            return f"thm11:q={self.q:.17g}"
-        if self.family is Family.THM12:
-            return f"thm12:t={self.t:.17g},p={self.p:.17g}"
-        return self.family.value
+        params = _FAMILIES[self.family].params
+        if not params:
+            return self.family.value
+        return self.family.value + ":" + ",".join(f"{n}={v:.17g}" for n, v in zip(params, self._args))
 
     def evaluate(self, m: Modulus | float) -> float:
-        m = _open_modulus(m)
-        fam = self.family
-        if fam is Family.VUORINEN:
-            return vuorinen_lower(m)
-        if fam is Family.BARNARD:
-            return barnard_upper(m)
-        if fam is Family.ALZER_QIU:
-            return alzer_qiu_upper(m)
-        if fam is Family.THM11:
-            return thm11_bound(m, self.q)
-        if fam is Family.THM12:
-            return thm12_bound(m, self.t, self.p)
-        if fam is Family.COR31_LOWER:
-            return thm12_bound(m, LAMBDA_STAR, 2.0)
-        return thm12_bound(m, MU_STAR, 0.5)
+        return self._kernel(_open_modulus(m), *self._args)
 
 
 @dataclass(frozen=True)
@@ -292,15 +309,7 @@ class Enclosure:
 def corollary31(m: Modulus | float) -> Enclosure:
     """The fixed-constant enclosure: lower bound at (t, p) = (lambda*, 2),
     upper bound at (mu*, 1/2)."""
-    m = _open_modulus(m)
-    lo_spec = BoundSpec(Family.COR31_LOWER)
-    hi_spec = BoundSpec(Family.COR31_UPPER)
-    return Enclosure(
-        lo=lo_spec.evaluate(m),
-        hi=hi_spec.evaluate(m),
-        lo_source=lo_spec,
-        hi_source=hi_spec,
-    )
+    return best_enclosure(m, [BoundSpec(Family.COR31_LOWER), BoundSpec(Family.COR31_UPPER)])
 
 
 def q_mean(a: float, b: float, t: float, p: float) -> float:
@@ -311,11 +320,7 @@ def q_mean(a: float, b: float, t: float, p: float) -> float:
     strictly increasing in t on [1/2, 1] for a != b.
     """
     pair = MeanPair(a, b)
-    t, p = float(t), float(p)
-    if not (0.5 <= t <= 1.0):
-        raise DomainError(f"t must lie in [1/2, 1], got {t!r}")
-    if not (0.5 <= p <= 2.0):
-        raise DomainError(f"p must lie in [1/2, 2], got {p!r}")
+    t, p = _param("t", t), _param("p", p)
     x = t * pair.a + (1.0 - t) * pair.b
     y = t * pair.b + (1.0 - t) * pair.a
     arith = 0.5 * (pair.a + pair.b)
@@ -323,23 +328,24 @@ def q_mean(a: float, b: float, t: float, p: float) -> float:
     return contra**p * arith ** (1.0 - p)
 
 
+def _sharp_specs() -> Iterator[BoundSpec]:
+    for family, row in _FAMILIES.items():
+        if row.thresholds is None:
+            yield BoundSpec(family)
+        for rest in row.sharp_at:
+            for x in row.thresholds(*rest):
+                yield BoundSpec(family, **dict(zip(row.params, (x, *rest))))
+
+
+_DEFAULTS = tuple(_sharp_specs())
+
+
 def default_candidates() -> list[BoundSpec]:
     """Every family at its sharp constants: the three classical bounds,
     thm11 at both thresholds, thm12 at both thresholds for p in
-    {1/2, 1, 2}, and the two fixed-constant instances."""
-    specs = [
-        BoundSpec(Family.VUORINEN),
-        BoundSpec(Family.BARNARD),
-        BoundSpec(Family.ALZER_QIU),
-        BoundSpec(Family.THM11, q=BETA_STAR),
-        BoundSpec(Family.THM11, q=ALPHA_STAR),
-    ]
-    for p in (0.5, 1.0, 2.0):
-        specs.append(BoundSpec(Family.THM12, t=thm12_lower_threshold(p), p=p))
-        specs.append(BoundSpec(Family.THM12, t=thm12_upper_threshold(p), p=p))
-    specs.append(BoundSpec(Family.COR31_LOWER))
-    specs.append(BoundSpec(Family.COR31_UPPER))
-    return specs
+    {1/2, 1, 2}, and the two fixed-constant instances.  Returns a new list
+    on each call."""
+    return list(_DEFAULTS)
 
 
 def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure:
@@ -368,17 +374,19 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
     return Enclosure(lo=lo, hi=hi, lo_source=lo_spec, hi_source=hi_spec)
 
 
+_A_BOUND = {Side.LOWER: "a lower bound", Side.UPPER: "an upper bound"}
+
+
 def _sharpness_hint(spec: BoundSpec) -> str:
-    if spec.family is Family.THM11:
-        return (
-            f"q={spec.q:.17g} is inside the gap (beta_star={BETA_STAR:.17g}, "
-            f"alpha_star={ALPHA_STAR:.17g}); q <= beta_star gives a lower bound, "
-            "q >= alpha_star an upper bound"
-        )
-    return (
-        f"t={spec.t:.17g} is inside the gap ({thm12_lower_threshold(spec.p):.17g}, "
-        f"{thm12_upper_threshold(spec.p):.17g}) for p={spec.p:.17g}"
-    )
+    # what the classified parameter of a parametric spec gives, and the side rule
+    row = _FAMILIES[spec.family]
+    name, x, rest = row.params[0], spec._args[0], spec._args[1:]
+    lo, hi = row.thresholds(*rest)
+    lo_name, hi_name = row.threshold_names
+    verdict = f"gives {_A_BOUND[spec._side]}" if spec._side in _A_BOUND else "is inside the gap"
+    given = "".join(f" for {n}={v:.17g}" for n, v in zip(row.params[1:], rest))
+    return (f"{name}={x:.17g} {verdict}{given}; {name} <= {lo_name}={lo:.17g} gives a lower "
+            f"bound, {name} >= {hi_name}={hi:.17g} an upper bound")
 
 
 def _parse_params(text: str, where: str) -> dict[str, float]:
@@ -389,6 +397,8 @@ def _parse_params(text: str, where: str) -> dict[str, float]:
         key, _, raw = item.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in params:
+            raise ConfigurationError(f"repeated parameter {key!r} in {where!r}")
         if raw in _SYMBOLIC:
             params[key] = _SYMBOLIC[raw]
         else:
@@ -399,58 +409,41 @@ def _parse_params(text: str, where: str) -> dict[str, float]:
     return params
 
 
+# Spec names: every family, plus name-lower/name-upper for each parametric one.
+_NAMES: dict[str, tuple[Family, Side | None]] = {f.value: (f, None) for f in Family}
+_NAMES.update({f"{f.value}-{s.value}": (f, s) for f, row in _FAMILIES.items()
+               if row.thresholds is not None for s in (Side.LOWER, Side.UPPER)})
+
+
 def parse_bound_spec(text: str) -> BoundSpec:
     """Parse the family mini-grammar ``name[:param=value[,param=value]]``.
 
     Recognised names: vuorinen, barnard, alzer-qiu, thm11, thm11-lower,
     thm11-upper, thm12, thm12-lower, thm12-upper, cor31-lower, cor31-upper.
     Values may be numeric or one of the symbolic constants beta_star,
-    alpha_star, lambda_star, mu_star.  The -lower/-upper aliases default the
-    missing parameter to the matching sharp constant and reject parameters
-    that classify on the other side.
+    alpha_star, lambda_star, mu_star.  A parameter may appear once, and only
+    if the family takes it.  The -lower/-upper aliases default the missing
+    parameter to the matching sharp constant and reject parameters that
+    classify on the other side.
     """
     name, _, rest = text.strip().partition(":")
     name = name.strip().lower()
     params = _parse_params(rest, text) if rest else {}
-
-    def reject_extra(allowed: set[str]) -> None:
-        extra = set(params) - allowed
-        if extra:
-            raise ConfigurationError(f"unknown parameter(s) {sorted(extra)} for {name!r}")
-
-    if name in ("vuorinen", "barnard", "alzer-qiu", "cor31-lower", "cor31-upper"):
-        reject_extra(set())
-        return BoundSpec(Family(name))
-    if name in ("thm11", "thm11-lower", "thm11-upper"):
-        reject_extra({"q"})
-        if name == "thm11":
-            if "q" not in params:
-                raise ConfigurationError("thm11 needs q, e.g. thm11:q=0.1")
-            return BoundSpec(Family.THM11, q=params["q"])
-        want = Side.LOWER if name.endswith("lower") else Side.UPPER
-        q = params.get("q", BETA_STAR if want is Side.LOWER else ALPHA_STAR)
-        spec = BoundSpec(Family.THM11, q=q)
-        if spec.side is not want:
-            raise InvalidBoundError(
-                f"{text!r}: q={q:.17g} does not give a {want.value} bound; " + _sharpness_hint(spec)
-            )
-        return spec
-    if name in ("thm12", "thm12-lower", "thm12-upper"):
-        reject_extra({"t", "p"})
-        if "p" not in params:
-            raise ConfigurationError(f"{name} needs p in [1/2, 2]")
-        p = params["p"]
-        if name == "thm12":
-            if "t" not in params:
-                raise ConfigurationError("thm12 needs t, e.g. thm12:t=0.85,p=2")
-            return BoundSpec(Family.THM12, t=params["t"], p=p)
-        want = Side.LOWER if name.endswith("lower") else Side.UPPER
-        default_t = thm12_lower_threshold(p) if want is Side.LOWER else thm12_upper_threshold(p)
-        t = params.get("t", default_t)
-        spec = BoundSpec(Family.THM12, t=t, p=p)
-        if spec.side is not want:
-            raise InvalidBoundError(
-                f"{text!r}: t={t:.17g} does not give a {want.value} bound; " + _sharpness_hint(spec)
-            )
-        return spec
-    raise ConfigurationError(f"unknown bound family {name!r}")
+    try:
+        family, want = _NAMES[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown bound family {name!r}") from None
+    unknown = sorted(set(params) - {"q", "t", "p"})
+    if unknown:
+        raise ConfigurationError(f"unknown parameter(s) {unknown} for {name!r}")
+    row = _FAMILIES[family]
+    if want is not None and row.params[0] not in params:
+        missing = [n for n in row.params[1:] if n not in params]
+        if missing:
+            raise ConfigurationError(f"{name} needs parameter(s) {missing}")
+        rest_args = [_param(n, params[n]) for n in row.params[1:]]
+        params[row.params[0]] = row.thresholds(*rest_args)[0 if want is Side.LOWER else 1]
+    spec = BoundSpec(family, **params)
+    if want is not None and spec.side is not want:
+        raise InvalidBoundError(f"{text!r} does not give {_A_BOUND[want]}: " + _sharpness_hint(spec))
+    return spec

@@ -92,6 +92,17 @@ def as_modulus(value: Modulus | float) -> Modulus:
     return Modulus(float(value))
 
 
+def _open_modulus(value: Modulus | float) -> Modulus:
+    """as_modulus, restricted to the open interval 0 < r < 1."""
+    m = as_modulus(value)
+    if not (0.0 < m.r < 1.0):
+        raise DomainError(
+            f"defined on the open interval (0, 1) only, got r={m.r!r}; "
+            "use the analytic limit values at the endpoints"
+        )
+    return m
+
+
 def agm(a: float, b: float) -> float:
     """Common limit of a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n).
 
@@ -244,10 +255,8 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
 def landen_residual(m: Modulus | float) -> float:
     """Residual |E(2 sqrt(r)/(1+r)) - (2E(r) - r'^2 K(r))/(1+r)| of the
     ascending Landen identity; stays below 1e-12 across (0, 1)."""
-    m = as_modulus(m)
+    m = _open_modulus(m)
     r = m.r
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"Landen check needs r in (0, 1), got {r!r}")
     ke = elliptic_ke(m)
     rc2 = m.r_comp * m.r_comp
     rhs = (2.0 * ke.e_val - rc2 * ke.k_val) / (1.0 + r)

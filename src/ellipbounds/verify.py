@@ -24,6 +24,7 @@ from .bounds import (
     BoundSpec,
     Family,
     Side,
+    _param,
     alzer_qiu_upper,
     default_candidates,
     thm11_bound,
@@ -31,7 +32,7 @@ from .bounds import (
     thm12_upper_threshold,
     vuorinen_lower,
 )
-from .core import HALF_PI, EllipticValues, Modulus, as_modulus, complete_e, complete_k, elliptic_ke
+from .core import HALF_PI, EllipticValues, Modulus, _open_modulus, complete_e, complete_k, elliptic_ke
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -155,13 +156,6 @@ def _dd(m: Modulus, ke: EllipticValues) -> float:
 # --------------------------------------------------------------------------
 # The auxiliary functions themselves.
 
-def _open(m: Modulus | float) -> Modulus:
-    m = as_modulus(m)
-    if not (0.0 < m.r < 1.0):
-        raise DomainError(f"auxiliary functions are defined on (0, 1), got r={m.r!r}")
-    return m
-
-
 def _l22_1(m: Modulus) -> float:
     ke = elliptic_ke(m)
     return _emr(m, ke) / (m.r * m.r)
@@ -206,13 +200,13 @@ def lemma22_function(idx: int, m: Modulus | float) -> float:
     """Evaluate part (idx) of the seven-part monotonicity lemma, idx in 1..7."""
     if idx not in _LEMMA22:
         raise ConfigurationError(f"lemma part index must be 1..7, got {idx!r}")
-    return _LEMMA22[idx](_open(m))
+    return _LEMMA22[idx](_open_modulus(m))
 
 
 def lemma23_g(m: Modulus | float) -> float:
     """g = [(K-E)(E-r'^2 K) + E((K-E) - (E-r'^2 K))] / (E-r'^2 K)^2,
     increasing from 3/2 to infinity."""
-    m = _open(m)
+    m = _open_modulus(m)
     ke = elliptic_ke(m)
     em = _emr(m, ke)
     return (_kme(m, ke) * em + ke.e_val * _d2(m, ke)) / (em * em)
@@ -221,7 +215,7 @@ def lemma23_g(m: Modulus | float) -> float:
 def lemma24_h(m: Modulus | float, p: float) -> float:
     """h = (2p-1) r^2 + 2p r^2 E / (E - r'^2 K); decreasing from 4p to 4p-1
     exactly when p <= 2."""
-    m = _open(m)
+    m = _open_modulus(m)
     p = float(p)
     if not p >= 0.5:
         raise DomainError(f"p must be >= 1/2, got {p!r}")
@@ -239,9 +233,7 @@ class Lemma25Margins:
 
 
 def lemma25_check(p: float) -> Lemma25Margins:
-    p = float(p)
-    if not (0.5 <= p <= 2.0):
-        raise DomainError(f"p must lie in [1/2, 2], got {p!r}")
+    p = _param("p", p)
     mid = (4.0 / _PI) ** (1.0 / p) - 1.0
     return Lemma25Margins(lower_margin=mid - 1.0 / (4.0 * p),
                           upper_margin=1.0 / (4.0 * p - 1.0) - mid)
@@ -250,12 +242,8 @@ def lemma25_check(p: float) -> Lemma25Margins:
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    m = _open(m)
-    u, p = float(u), float(p)
-    if not (0.0 <= u <= 1.0):
-        raise DomainError(f"u must lie in [0, 1], got {u!r}")
-    if not (0.5 <= p <= 2.0):
-        raise DomainError(f"p must lie in [1/2, 2], got {p!r}")
+    m = _open_modulus(m)
+    u, p = _param("u", u), _param("p", p)
     ke = elliptic_ke(m)
     return p * math.log1p(u * m.r * m.r) - math.log1p(_wmh(m, ke) * 2.0 / _PI)
 
@@ -263,7 +251,7 @@ def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
 def lemma27_F(m: Modulus | float) -> float:
     """F = (2E - r'^2 K)^2 [1 + (pi^2 - 4 (2E - r'^2 K)^2)/(pi^2 r^2)];
     increasing from pi^2/8 to 8 (pi^2 - 8)/pi^2."""
-    m = _open(m)
+    m = _open_modulus(m)
     ke = elliptic_ke(m)
     w = _wmh(m, ke)
     big_w = w + HALF_PI

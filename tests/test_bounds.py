@@ -46,6 +46,10 @@ def grid(n=1000, eps=1e-6):
     return [eps + i * (1 - 2 * eps) / (n - 1) for i in range(n)]
 
 
+# radii for the exact identities that the family table relies on
+IDENTITY_RADII = [1e-300, 1e-8, 0.5, 1 - 1e-12] + grid(2000)
+
+
 class TestSharpConstants:
     def test_against_extended_precision(self):
         with mpmath.workdps(40):
@@ -124,8 +128,8 @@ class TestAlzerQiu:
 
 class TestThm11:
     def test_q_half_is_barnard(self):
-        for r in (0.1, 0.5, 0.9):
-            assert thm11_bound(r, 0.5) == pytest.approx(barnard_upper(r), abs=1e-16)
+        for r in IDENTITY_RADII:
+            assert barnard_upper(r) == thm11_bound(r, 0.5)
 
     def test_beta_star_limit_at_one(self):
         assert thm11_bound(1 - 1e-12, BETA_STAR) == pytest.approx(1.0, abs=1e-11)
@@ -202,6 +206,12 @@ class TestCorollary31:
         assert enc.lo_source.family is Family.COR31_LOWER
         assert enc.hi_source.family is Family.COR31_UPPER
 
+    def test_instances_of_thm12(self):
+        lo_spec, hi_spec = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.COR31_UPPER)
+        for r in IDENTITY_RADII:
+            assert lo_spec.evaluate(r) == thm12_bound(r, LAMBDA_STAR, 2.0)
+            assert hi_spec.evaluate(r) == thm12_bound(r, MU_STAR, 0.5)
+
 
 class TestQMean:
     @given(st.floats(min_value=0.01, max_value=100.0),
@@ -271,6 +281,16 @@ class TestBoundSpecSide:
             BoundSpec(Family.VUORINEN, q=0.1)
         with pytest.raises(DomainError):
             BoundSpec(Family.THM12, t=0.3, p=1.0)
+
+    def test_rejects_q_on_thm12(self):
+        # accepted once, after which .side raised "unclassifiable spec"
+        with pytest.raises(ConfigurationError):
+            BoundSpec(Family.THM12, t=0.9, p=1.0, q=0.1)
+
+    def test_rejects_t_on_thm11(self):
+        # accepted once, with the label of the different spec thm11:q=0.1
+        with pytest.raises(ConfigurationError):
+            BoundSpec(Family.THM11, q=0.1, t=0.7)
 
 
 class TestBestEnclosure:
@@ -351,11 +371,27 @@ class TestParseBoundSpec:
         with pytest.raises(InvalidBoundError):
             parse_bound_spec("thm11-upper:q=0.01")
 
+    @pytest.mark.parametrize("text,gives", [("thm12-lower:p=2,t=0.9", "gives an upper bound"),
+                                            ("thm11-upper:q=0.01", "gives a lower bound")])
+    def test_side_alias_mismatch_names_the_side_given(self, text, gives):
+        with pytest.raises(InvalidBoundError) as exc:
+            parse_bound_spec(text)
+        msg = str(exc.value)
+        assert gives in msg
+        assert "inside the gap" not in msg and "a upper" not in msg
+
     def test_parse_errors(self):
         for bad in ("bogus", "thm11", "thm11:q=abc", "thm12:t=0.8", "vuorinen:q=1",
-                    "thm11:zz=1", "thm12-lower"):
+                    "thm11:zz=1", "thm12-lower", "thm11:q=0.1,q=0.2", "thm12-upper:p=-1"):
             with pytest.raises((ConfigurationError, DomainError)):
                 parse_bound_spec(bad)
+
+    def test_default_candidates_fresh_list(self):
+        first = default_candidates()
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        assert default_candidates() == expected
 
     def test_labels_round_trip(self):
         for spec in default_candidates():
