@@ -103,12 +103,12 @@ _SYMBOLIC = {
 
 def thm12_lower_threshold(p: float) -> float:
     """Largest t for which the t-parametrised family is a lower bound."""
-    return 0.5 + math.sqrt(1.0 / (4.0 * p)) / 2.0
+    return 0.5 + math.sqrt(1.0 / (4.0 * _param("p", p))) / 2.0
 
 
 def thm12_upper_threshold(p: float) -> float:
     """Smallest t for which the t-parametrised family is an upper bound."""
-    return 0.5 + math.sqrt((4.0 / _PI) ** (1.0 / p) - 1.0) / 2.0
+    return 0.5 + math.sqrt((4.0 / _PI) ** (1.0 / _param("p", p)) - 1.0) / 2.0
 
 
 # (low, high, low end open) per parameter name; u is the lemma 2.6 parameter
@@ -292,14 +292,15 @@ class BoundSpec:
 @dataclass(frozen=True)
 class Enclosure:
     """A certified interval lo <= E(r) <= hi with the specs that produced
-    each endpoint.  In exact arithmetic lo <= hi whenever the sources are
-    valid bounds; in floats the two can cross at ulp level where both sides
-    collapse onto E (r near 0)."""
+    each endpoint, and every candidate's value in candidate order.  In exact
+    arithmetic lo <= hi whenever the sources are valid bounds; in floats the
+    two can cross at ulp level where both sides collapse onto E (r near 0)."""
 
     lo: float
     hi: float
     lo_source: BoundSpec
     hi_source: BoundSpec
+    values: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def width(self) -> float:
@@ -354,6 +355,7 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
     m = _open_modulus(m)
     if not candidates:
         raise ConfigurationError("no candidate bounds given")
+    values: list[float] = []
     lowers: list[tuple[float, BoundSpec]] = []
     uppers: list[tuple[float, BoundSpec]] = []
     for spec in candidates:
@@ -363,15 +365,15 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
                 f"{spec.label} lies on neither valid side of its sharp constants: "
                 + _sharpness_hint(spec)
             )
-        value = spec.evaluate(m)
-        (lowers if side is Side.LOWER else uppers).append((value, spec))
+        values.append(spec.evaluate(m))
+        (lowers if side is Side.LOWER else uppers).append((values[-1], spec))
     if not lowers:
         raise ConfigurationError("candidate list has no lower bound")
     if not uppers:
         raise ConfigurationError("candidate list has no upper bound")
     lo, lo_spec = max(lowers, key=lambda pair: pair[0])
     hi, hi_spec = min(uppers, key=lambda pair: pair[0])
-    return Enclosure(lo=lo, hi=hi, lo_source=lo_spec, hi_source=hi_spec)
+    return Enclosure(lo=lo, hi=hi, lo_source=lo_spec, hi_source=hi_spec, values=tuple(values))
 
 
 _A_BOUND = {Side.LOWER: "a lower bound", Side.UPPER: "an upper bound"}

@@ -161,7 +161,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for r in grid.values():
         enc = best_enclosure(r, specs)
-        row = [r, complete_e(r)] + [s.evaluate(r) for s in specs] + [enc.lo, enc.hi]
+        row = [r, complete_e(r), *enc.values, enc.lo, enc.hi]
         rows.append([f"{v:.17g}" for v in row])
     try:
         with open(args.output, "w", newline="") as fh:

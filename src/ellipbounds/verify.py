@@ -2,6 +2,11 @@
 the bound proofs, grid sweeps with endpoint extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
+Every auxiliary function is a pure function of one row (r, r', K, E) of a
+grid table, which is built once per grid with one elliptic_ke call per radius
+and read by every check on that grid; a public function such as lemma23_g(r)
+evaluates a one-row table through the same row function.
+
 Near r = 0 the auxiliary functions combine K and E in ways that cancel
 catastrophically (E - r'^2 K and K - E vanish like r^2, E^2 - r'^2 K^2 like
 r^4).  Each such combination therefore switches to its Maclaurin series below
@@ -12,10 +17,12 @@ series of K and E at import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from functools import reduce
+from typing import Callable, Sequence
 
 from .bounds import (
     ALPHA_STAR,
@@ -25,14 +32,11 @@ from .bounds import (
     Family,
     Side,
     _param,
-    alzer_qiu_upper,
     default_candidates,
-    thm11_bound,
     thm12_lower_threshold,
     thm12_upper_threshold,
-    vuorinen_lower,
 )
-from .core import HALF_PI, EllipticValues, Modulus, _open_modulus, complete_e, complete_k, elliptic_ke
+from .core import HALF_PI, Modulus, _open_modulus, complete_e, elliptic_ke
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -80,6 +84,28 @@ _CUT_R4 = 0.05
 
 
 # --------------------------------------------------------------------------
+# Grid tables: every series block and auxiliary function below is a pure
+# function of one row (r, r', K, E), built only here from one elliptic_ke call.
+
+def _row(m: Modulus) -> tuple[float, float, float, float]:
+    ke = elliptic_ke(m)
+    return m.r, m.r_comp, ke.k_val, ke.e_val
+
+
+def _grid_table(n: int, tables: dict[int, tuple]) -> tuple:
+    """The rows of the n-point grid_open_unit grid as columns (r, r', K, E)
+    of doubles, built once per tables dict; zip(*table) iterates the rows."""
+    if n not in tables:
+        rs, rcs, ks, es = grid_open_unit(n), array("d"), array("d"), array("d")
+        for _, rc, k, e in map(_row, map(Modulus, rs)):
+            rcs.append(rc)
+            ks.append(k)
+            es.append(e)
+        tables[n] = array("d", rs), rcs, ks, es
+    return tables[n]
+
+
+# --------------------------------------------------------------------------
 # Maclaurin coefficients, exact.  All tables are in units of (pi/2) except
 # _DD which is in units of (pi/2)^2; the variable is x = r^2.
 
@@ -94,15 +120,10 @@ def _build_series(nmax: int) -> dict[str, list[float]]:
     wmh = [zero] + [e[n] + emr[n] for n in range(1, nmax + 1)]
     d2 = [kme[n] - emr[n] for n in range(nmax + 1)]
 
-    def conv(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        out = [zero] * (nmax + 1)
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                if i + j <= nmax:
-                    out[i + j] += ui * vj
-        return out
+    def square(u: list[Fraction]) -> list[Fraction]:
+        return [sum(u[i] * u[n - i] for i in range(n + 1)) for n in range(nmax + 1)]
 
-    se2, sk2 = conv(e, e), conv(c, c)
+    se2, sk2 = square(e), square(c)
     dd = [se2[n] - sk2[n] + (sk2[n - 1] if n else zero) for n in range(nmax + 1)]
     return {name: [float(x) for x in tbl] for name, tbl in
             [("kme", kme), ("emr", emr), ("wmh", wmh), ("d2", d2), ("dd", dd)]}
@@ -118,110 +139,118 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _kme(m: Modulus, ke: EllipticValues) -> float:
+def _kme(r: float, rc: float, k: float, e: float) -> float:
     # K - E, vanishes like (pi/4) r^2
-    if m.r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["kme"], m.r * m.r)
-    return ke.k_val - ke.e_val
+    if r < _CUT_R2:
+        return HALF_PI * _horner(_TBL["kme"], r * r)
+    return k - e
 
 
-def _emr(m: Modulus, ke: EllipticValues) -> float:
+def _emr(r: float, rc: float, k: float, e: float) -> float:
     # E - r'^2 K, vanishes like (pi/4) r^2
-    if m.r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["emr"], m.r * m.r)
-    return ke.e_val - m.r_comp * m.r_comp * ke.k_val
+    if r < _CUT_R2:
+        return HALF_PI * _horner(_TBL["emr"], r * r)
+    return e - rc * rc * k
 
 
-def _wmh(m: Modulus, ke: EllipticValues) -> float:
+def _wmh(r: float, rc: float, k: float, e: float) -> float:
     # (2E - r'^2 K) - pi/2, vanishes like (pi/8) r^2
-    if m.r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["wmh"], m.r * m.r)
-    return 2.0 * ke.e_val - m.r_comp * m.r_comp * ke.k_val - HALF_PI
+    if r < _CUT_R2:
+        return HALF_PI * _horner(_TBL["wmh"], r * r)
+    return 2.0 * e - rc * rc * k - HALF_PI
 
 
-def _d2(m: Modulus, ke: EllipticValues) -> float:
+def _d2(r: float, rc: float, k: float, e: float) -> float:
     # (K - E) - (E - r'^2 K), vanishes like (pi/16) r^4
-    if m.r < _CUT_R4:
-        return HALF_PI * _horner(_TBL["d2"], m.r * m.r)
-    return (ke.k_val - ke.e_val) - (ke.e_val - m.r_comp * m.r_comp * ke.k_val)
+    if r < _CUT_R4:
+        return HALF_PI * _horner(_TBL["d2"], r * r)
+    return (k - e) - (e - rc * rc * k)
 
 
-def _dd(m: Modulus, ke: EllipticValues) -> float:
+def _dd(r: float, rc: float, k: float, e: float) -> float:
     # E^2 - r'^2 K^2, vanishes like (pi/2)^2 r^4 / 8
-    if m.r < _CUT_R4:
-        return HALF_PI * HALF_PI * _horner(_TBL["dd"], m.r * m.r)
-    return ke.e_val * ke.e_val - m.r_comp * m.r_comp * ke.k_val * ke.k_val
+    if r < _CUT_R4:
+        return HALF_PI * HALF_PI * _horner(_TBL["dd"], r * r)
+    return e * e - rc * rc * k * k
 
 
 # --------------------------------------------------------------------------
-# The auxiliary functions themselves.
+# The auxiliary functions themselves, as row functions.
 
-def _l22_1(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    return _emr(m, ke) / (m.r * m.r)
-
-
-def _l22_2(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    return ke.e_val / math.sqrt(m.r_comp)
+def _l22_1(r: float, rc: float, k: float, e: float) -> float:
+    return _emr(r, rc, k, e) / (r * r)
 
 
-def _l22_3(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    return _kme(m, ke) / (m.r * m.r * ke.k_val)
+def _l22_2(r: float, rc: float, k: float, e: float) -> float:
+    return e / math.sqrt(rc)
 
 
-def _l22_4(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    return _emr(m, ke) / (m.r * m.r * ke.k_val)
+def _l22_3(r: float, rc: float, k: float, e: float) -> float:
+    return _kme(r, rc, k, e) / (r * r * k)
 
 
-def _l22_5(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    return m.r_comp**0.75 * _kme(m, ke) / (m.r * m.r)
+def _l22_4(r: float, rc: float, k: float, e: float) -> float:
+    return _emr(r, rc, k, e) / (r * r * k)
 
 
-def _l22_6(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    em = _emr(m, ke)
-    return em * em / _dd(m, ke)
+def _l22_5(r: float, rc: float, k: float, e: float) -> float:
+    return rc**0.75 * _kme(r, rc, k, e) / (r * r)
 
 
-def _l22_7(m: Modulus) -> float:
-    ke = elliptic_ke(m)
-    w = _wmh(m, ke)
-    return 4.0 * w * (w + _PI) / (m.r * m.r)
+def _l22_6(r: float, rc: float, k: float, e: float) -> float:
+    em = _emr(r, rc, k, e)
+    return em * em / _dd(r, rc, k, e)
 
 
-_LEMMA22 = {1: _l22_1, 2: _l22_2, 3: _l22_3, 4: _l22_4, 5: _l22_5, 6: _l22_6, 7: _l22_7}
+def _l22_7(r: float, rc: float, k: float, e: float) -> float:
+    w = _wmh(r, rc, k, e)
+    return 4.0 * w * (w + _PI) / (r * r)
+
+
+def _l23_g(r: float, rc: float, k: float, e: float) -> float:
+    em = _emr(r, rc, k, e)
+    return (_kme(r, rc, k, e) * em + e * _d2(r, rc, k, e)) / (em * em)
+
+
+def _l24_h(r: float, rc: float, k: float, e: float, p: float) -> float:
+    r2 = r * r
+    return (2.0 * p - 1.0) * r2 + 2.0 * p * r2 * e / _emr(r, rc, k, e)
+
+
+def _l26_f(r: float, rc: float, k: float, e: float, u: float, p: float) -> float:
+    return p * math.log1p(u * r * r) - math.log1p(_wmh(r, rc, k, e) * 2.0 / _PI)
+
+
+def _l27_F(r: float, rc: float, k: float, e: float) -> float:
+    # the bracket of F is 1 - J / pi^2 with J the lemma 2.2 part (7) function
+    big_w = _wmh(r, rc, k, e) + HALF_PI
+    return big_w * big_w * (1.0 - _l22_7(r, rc, k, e) / (_PI * _PI))
+
+
+def _h_exponent(p: float) -> float:
+    p = float(p)
+    if not p >= 0.5:
+        raise DomainError(f"p must be >= 1/2, got {p!r}")
+    return p
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
     """Evaluate part (idx) of the seven-part monotonicity lemma, idx in 1..7."""
-    if idx not in _LEMMA22:
+    if idx not in range(1, 8):
         raise ConfigurationError(f"lemma part index must be 1..7, got {idx!r}")
-    return _LEMMA22[idx](_open_modulus(m))
+    return _SWEEPS[f"lemma22_{int(idx)}"].fn(*_row(_open_modulus(m)))
 
 
 def lemma23_g(m: Modulus | float) -> float:
     """g = [(K-E)(E-r'^2 K) + E((K-E) - (E-r'^2 K))] / (E-r'^2 K)^2,
     increasing from 3/2 to infinity."""
-    m = _open_modulus(m)
-    ke = elliptic_ke(m)
-    em = _emr(m, ke)
-    return (_kme(m, ke) * em + ke.e_val * _d2(m, ke)) / (em * em)
+    return _l23_g(*_row(_open_modulus(m)))
 
 
 def lemma24_h(m: Modulus | float, p: float) -> float:
     """h = (2p-1) r^2 + 2p r^2 E / (E - r'^2 K); decreasing from 4p to 4p-1
     exactly when p <= 2."""
-    m = _open_modulus(m)
-    p = float(p)
-    if not p >= 0.5:
-        raise DomainError(f"p must be >= 1/2, got {p!r}")
-    ke = elliptic_ke(m)
-    r2 = m.r * m.r
-    return (2.0 * p - 1.0) * r2 + 2.0 * p * r2 * ke.e_val / _emr(m, ke)
+    return _l24_h(*_row(_open_modulus(m)), _h_exponent(p))
 
 
 @dataclass(frozen=True)
@@ -242,21 +271,13 @@ def lemma25_check(p: float) -> Lemma25Margins:
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    m = _open_modulus(m)
-    u, p = _param("u", u), _param("p", p)
-    ke = elliptic_ke(m)
-    return p * math.log1p(u * m.r * m.r) - math.log1p(_wmh(m, ke) * 2.0 / _PI)
+    return _l26_f(*_row(_open_modulus(m)), _param("u", u), _param("p", p))
 
 
 def lemma27_F(m: Modulus | float) -> float:
     """F = (2E - r'^2 K)^2 [1 + (pi^2 - 4 (2E - r'^2 K)^2)/(pi^2 r^2)];
     increasing from pi^2/8 to 8 (pi^2 - 8)/pi^2."""
-    m = _open_modulus(m)
-    ke = elliptic_ke(m)
-    w = _wmh(m, ke)
-    big_w = w + HALF_PI
-    j = 4.0 * w * (w + _PI) / (m.r * m.r)
-    return big_w * big_w * (1.0 - j / (_PI * _PI))
+    return _l27_F(*_row(_open_modulus(m)))
 
 
 # --------------------------------------------------------------------------
@@ -329,70 +350,53 @@ def _solve3(mat: list[list[float]], rhs: list[float]) -> list[float]:
     return out
 
 
-def _fit_constant(xs: list[float], fs: list[float], phi1, phi2) -> float:
-    mat = [[1.0, phi1(x), phi2(x)] for x in xs]
-    return _solve3(mat, fs)[0]
-
-
-def _extrap_left(rs: list[float], fs: list[float]) -> float:
-    # every auxiliary function is smooth in r^2 at the left end
-    xs = [r * r for r in rs]
-    return _fit_constant(xs, fs, lambda x: x, lambda x: x * x)
-
-
-def _extrap_right(rs: list[float], fs: list[float], model: str) -> float:
-    if model == "rc2":
-        xs = [(1.0 - r) * (1.0 + r) for r in rs]
-        return _fit_constant(xs, fs, lambda x: x, lambda x: x * x)
-    if model == "invk":
+def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[float]) -> float:
+    # the constant of the fit {1, phi1, phi2} through three rows: the limit
+    ws = [(1.0 - r) * (1.0 + r) for r in rs]
+    if model == "r2":
+        # every auxiliary function is smooth in r^2 at the left end
+        basis = [(x, x * x) for x in (r * r for r in rs)]
+    elif model == "rc2":
+        basis = [(w, w * w) for w in ws]
+    elif model == "invk":
         # limits approached like c / K(r) with an O(r'^2) prefactor drift:
         # fit {1, u, r'^2} in u = 1/K
-        us = [1.0 / complete_k(r) for r in rs]
-        ws = [(1.0 - r) * (1.0 + r) for r in rs]
-        mat = [[1.0, u, w] for u, w in zip(us, ws)]
-        return _solve3(mat, fs)[0]
-    if model == "r34log":
+        basis = [(1.0 / k, w) for k, w in zip(ks, ws)]
+    elif model == "r34log":
         # r'^(3/4) (K - E) behaviour: basis {1, v, v log v} in v = r'^(3/4)
-        xs = [((1.0 - r) * (1.0 + r)) ** 0.375 for r in rs]
-        return _fit_constant(xs, fs, lambda v: v, lambda v: v * math.log(v))
-    raise ConfigurationError(f"unknown extrapolation model {model!r}")
+        basis = [(v, v * math.log(v)) for v in (w ** 0.375 for w in ws)]
+    else:
+        raise ConfigurationError(f"unknown extrapolation model {model!r}")
+    return _solve3([[1.0, *phi] for phi in basis], fs)[0]
 
 
 @dataclass(frozen=True)
 class _SweepDef:
+    """A row function with its direction, claimed limits (numbers, or functions
+    of the parameters that ``params`` validates), right-end model and tolerance."""
+
     fn: Callable[..., float]
     direction: Direction
-    left: Callable[[dict], float]
-    right: Callable[[dict], float]
+    left: float | Callable[..., float]
+    right: float | Callable[..., float]
     right_model: str | None
-    left_tol: float
-    right_tol: float | None
-    param_names: tuple[str, ...] = ()
+    tol: float
+    params: dict[str, Callable[[float], float]] = field(default_factory=dict)
 
 
 _SWEEPS: dict[str, _SweepDef] = {
-    "lemma22_1": _SweepDef(_l22_1, Direction.INCREASING,
-                           lambda _: _PI / 4.0, lambda _: 1.0, "rc2", 1e-3, 1e-3),
-    "lemma22_2": _SweepDef(_l22_2, Direction.INCREASING,
-                           lambda _: HALF_PI, lambda _: math.inf, None, 1e-3, None),
-    "lemma22_3": _SweepDef(_l22_3, Direction.INCREASING,
-                           lambda _: 0.5, lambda _: 1.0, "invk", 1e-3, 1e-3),
-    "lemma22_4": _SweepDef(_l22_4, Direction.DECREASING,
-                           lambda _: 0.5, lambda _: 0.0, "invk", 1e-3, 1e-3),
-    "lemma22_5": _SweepDef(_l22_5, Direction.DECREASING,
-                           lambda _: _PI / 4.0, lambda _: 0.0, "r34log", 1e-2, 1e-2),
-    "lemma22_6": _SweepDef(_l22_6, Direction.DECREASING,
-                           lambda _: 2.0, lambda _: 1.0, "rc2", 1e-3, 1e-3),
-    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING,
-                           lambda _: _PI * _PI / 2.0, lambda _: 16.0 - _PI * _PI, "rc2", 1e-3, 1e-3),
-    "lemma23_g": _SweepDef(lambda m: lemma23_g(m), Direction.INCREASING,
-                           lambda _: 1.5, lambda _: math.inf, None, 1e-2, None),
-    "lemma24_h": _SweepDef(lambda m, p: lemma24_h(m, p), Direction.DECREASING,
-                           lambda prm: 4.0 * prm["p"], lambda prm: 4.0 * prm["p"] - 1.0,
-                           "rc2", 1e-3, 1e-3, ("p",)),
-    "lemma27_F": _SweepDef(lambda m: lemma27_F(m), Direction.INCREASING,
-                           lambda _: _PI * _PI / 8.0, lambda _: 8.0 * (_PI * _PI - 8.0) / (_PI * _PI),
-                           "rc2", 1e-3, 1e-3),
+    "lemma22_1": _SweepDef(_l22_1, Direction.INCREASING, _PI / 4.0, 1.0, "rc2", 1e-3),
+    "lemma22_2": _SweepDef(_l22_2, Direction.INCREASING, HALF_PI, math.inf, None, 1e-3),
+    "lemma22_3": _SweepDef(_l22_3, Direction.INCREASING, 0.5, 1.0, "invk", 1e-3),
+    "lemma22_4": _SweepDef(_l22_4, Direction.DECREASING, 0.5, 0.0, "invk", 1e-3),
+    "lemma22_5": _SweepDef(_l22_5, Direction.DECREASING, _PI / 4.0, 0.0, "r34log", 1e-2),
+    "lemma22_6": _SweepDef(_l22_6, Direction.DECREASING, 2.0, 1.0, "rc2", 1e-3),
+    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI * _PI / 2.0, 16.0 - _PI * _PI, "rc2", 1e-3),
+    "lemma23_g": _SweepDef(_l23_g, Direction.INCREASING, 1.5, math.inf, None, 1e-2),
+    "lemma24_h": _SweepDef(_l24_h, Direction.DECREASING, lambda p: 4.0 * p, lambda p: 4.0 * p - 1.0,
+                           "rc2", 1e-3, {"p": _h_exponent}),
+    "lemma27_F": _SweepDef(_l27_F, Direction.INCREASING,
+                           _PI * _PI / 8.0, 8.0 * (_PI * _PI - 8.0) / (_PI * _PI), "rc2", 1e-3),
 }
 
 
@@ -400,40 +404,32 @@ def sweep_ids() -> list[str]:
     return list(_SWEEPS)
 
 
-def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> MonotoneReport:
-    """Sweep one named auxiliary function over a uniform grid on
-    (1e-6, 1 - 1e-6), recording the worst movement against its claimed
-    direction and Richardson-style endpoint extrapolations from the three
-    grid points nearest each endpoint."""
-    try:
-        sd = _SWEEPS[fn]
-    except KeyError:
-        raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}") from None
+def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneReport:
+    # sweep_monotone, on the grid's table in tables
+    if fn not in _SWEEPS:
+        raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
+    sd = _SWEEPS[fn]
     if grid < 1000:
         raise ConfigurationError(f"sweep grid must have at least 1000 points, got {grid!r}")
     params = dict(params or {})
-    if set(params) != set(sd.param_names):
-        raise ConfigurationError(f"{fn} takes parameters {sd.param_names}, got {sorted(params)}")
+    if set(params) != set(sd.params):
+        raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
+    params = {name: check(params[name]) for name, check in sd.params.items()}
 
-    rs = grid_open_unit(grid)
-    fs = [sd.fn(Modulus(r), **params) for r in rs]
-
+    rs, _, ks, _ = table = _grid_table(grid, tables)
+    fs = [sd.fn(*row, **params) for row in zip(*table)]
     sign = 1.0 if sd.direction is Direction.INCREASING else -1.0
-    worst = 0.0
-    prev = fs[0]
-    for val in fs[1:]:
-        worst = max(worst, sign * (prev - val))
-        prev = val
+    worst = reduce(max, (sign * (prev - val) for prev, val in zip(fs, fs[1:])), 0.0)
     worst = max(0.0, worst - _MONOTONE_TOL)
 
-    left = _extrap_left(rs[:3], fs[:3])
-    claimed_right = sd.right(params)
+    left = _extrapolate("r2", rs[:3], ks[:3], fs[:3])
+    claimed_left, claimed_right = (c(**params) if callable(c) else c for c in (sd.left, sd.right))
     if math.isinf(claimed_right):
         right = math.inf
     else:
-        right = _extrap_right(rs[-3:], fs[-3:], sd.right_model)
+        right = _extrapolate(sd.right_model, rs[-3:], ks[-3:], fs[-3:])
 
-    name = fn if not params else fn + " " + ",".join(f"{k}={params[k]:g}" for k in sd.param_names)
+    name = fn if not params else fn + " " + ",".join(f"{k}={v:g}" for k, v in params.items())
     return MonotoneReport(
         name=name,
         direction=sd.direction,
@@ -441,9 +437,17 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
         right_limit=right,
         worst_violation=worst,
         grid_size=grid,
-        claimed_left=sd.left(params),
+        claimed_left=claimed_left,
         claimed_right=claimed_right,
     )
+
+
+def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> MonotoneReport:
+    """Sweep one named auxiliary function over a uniform grid on
+    (1e-6, 1 - 1e-6), recording the worst movement against its claimed
+    direction and Richardson-style endpoint extrapolations from the three
+    grid points nearest each endpoint."""
+    return _sweep(fn, grid, params, {})
 
 
 # --------------------------------------------------------------------------
@@ -467,6 +471,7 @@ class SignCaseReport:
 
 def lemma26_expected_case(u: float, p: float) -> SignCase:
     """Which case the sharpness thresholds predict for (u, p)."""
+    u, p = _param("u", u), _param("p", p)
     if u <= 1.0 / (4.0 * p):
         return SignCase.ALL_NEGATIVE
     if u >= (4.0 / _PI) ** (1.0 / p) - 1.0:
@@ -487,34 +492,44 @@ def _classify_sign_pattern(signs: list[int]) -> SignCase:
                             f"starting {'positive' if signs[0] > 0 else 'negative'}")
 
 
+def _bisect(keeps_lo: Callable[[float], bool], lo: float, hi: float, width: float) -> float:
+    # halve [lo, hi] until at most width wide, moving lo to each midpoint
+    # where keeps_lo holds and hi to the others; the final midpoint
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if keeps_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
+    # lemma26_classify, on the grid's table in tables
+    if grid < 100:
+        raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
+    uf, pf = _param("u", u), _param("p", p)
+    table = _grid_table(grid, tables)
+    fs = [_l26_f(*row, uf, pf) for row in zip(*table)]
+    keep = [(r, f) for r, f in zip(table[0], fs) if abs(f) > _SIGN_TOL]
+    if not keep:
+        raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
+    case = _classify_sign_pattern([1 if f > 0 else -1 for _, f in keep])
+    eta = None
+    if case is SignCase.POSITIVE_THEN_NEGATIVE:
+        pos = max(r for r, f in keep if f > 0)
+        neg = min(r for r, f in keep if f < 0 and r > pos)
+        eta = _bisect(lambda r: _l26_f(*_row(Modulus(r)), uf, pf) > 0.0, pos, neg, 1e-10)
+    return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
+
+
 def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
     """Sample the log-ratio function on a grid, classify its sign pattern,
     and locate the sign-change radius eta by bisection (to 1e-10) in the
     mixed case.  Samples within 5e-15 of zero are treated as indeterminate;
     any pattern other than all-negative, all-positive, or a single
     positive-to-negative flip raises VerificationError."""
-    if grid < 100:
-        raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
-    rs = grid_open_unit(grid)
-    fs = [lemma26_f(r, u, p) for r in rs]
-    keep = [(r, f) for r, f in zip(rs, fs) if abs(f) > _SIGN_TOL]
-    if not keep:
-        raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
-    case = _classify_sign_pattern([1 if f > 0 else -1 for _, f in keep])
-
-    eta = None
-    if case is SignCase.POSITIVE_THEN_NEGATIVE:
-        pos = max(r for r, f in keep if f > 0)
-        neg = min(r for r, f in keep if f < 0 and r > pos)
-        lo, hi = pos, neg
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if lemma26_f(mid, u, p) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        eta = 0.5 * (lo + hi)
-    return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
+    return _classify(u, p, grid, {})
 
 
 def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
@@ -575,32 +590,21 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     rs = grid_open_unit(scan)
     ds = [a.evaluate(r) - b.evaluate(r) for r in rs]
     solid = [(r, d) for r, d in zip(rs, ds) if abs(d) > _SOLID]
-    bracket = None
-    for (r0, d0), (r1, d1) in zip(solid, solid[1:]):
-        if (d0 > 0) != (d1 > 0):
-            bracket = (r0, r1)
-    if bracket is None:
+    flips = [(r0, r1, d0 > 0) for (r0, d0), (r1, d1) in zip(solid, solid[1:])
+             if (d0 > 0) != (d1 > 0)]
+    if not flips:
         if not solid:
             raise VerificationError("bounds agree to machine precision everywhere; no dominance order")
         return NoCrossover(bound_a=a, bound_b=b, dominant=_closer_to_e(a, b, 0.5))
 
-    lo, hi = bracket
-    d_lo = a.evaluate(lo) - b.evaluate(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        d_mid = a.evaluate(mid) - b.evaluate(mid)
-        if (d_mid > 0) == (d_lo > 0):
-            lo, d_lo = mid, d_mid
-        else:
-            hi = mid
-    r_cross = 0.5 * (lo + hi)
-    probe = 0.5 * (r_cross + 1.0)
+    lo, hi, lo_positive = flips[-1]
+    r_cross = _bisect(lambda r: (a.evaluate(r) - b.evaluate(r) > 0) == lo_positive, lo, hi, 1e-12)
     return CrossoverResult(
         delta=1.0 - r_cross,
         r_cross=r_cross,
         bound_a=a,
         bound_b=b,
-        better_near_one=_closer_to_e(a, b, probe),
+        better_near_one=_closer_to_e(a, b, 0.5 * (r_cross + 1.0)),
     )
 
 
@@ -622,23 +626,29 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 60
     return x, max(fc, fd)
 
 
+def _violation(r: float, rc: float, k: float, e: float, spec: BoundSpec, side: Side) -> float:
+    # how far spec lies on the wrong side of E for a claimed lower or upper bound
+    return spec.evaluate(r) - e if side is Side.LOWER else e - spec.evaluate(r)
+
+
+def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float, float]:
+    # search_violation, on the scan grid's table in tables
+    if side not in (Side.LOWER, Side.UPPER):
+        raise ConfigurationError("claimed side must be LOWER or UPPER")
+    rs, *_ = table = _grid_table(scan, tables)
+    vs = [_violation(*row, spec, side) for row in zip(*table)]
+    i = vs.index(max(vs))
+    lo = rs[i - 1] if i > 0 else rs[0]
+    hi = rs[i + 1] if i + 1 < len(rs) else rs[-1]
+    return _golden_max(lambda r: _violation(*_row(Modulus(r)), spec, side), lo, hi)
+
+
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:
     """Hunt for the largest violation of a claimed side: for a claimed lower
     bound the violation is bound - E, for an upper bound E - bound.  Coarse
     grid argmax followed by golden-section refinement; returns (r, violation)
     with violation > 0 meaning the claim fails at r."""
-    if claimed_side is Side.LOWER:
-        viol = lambda r: spec.evaluate(r) - complete_e(r)
-    elif claimed_side is Side.UPPER:
-        viol = lambda r: complete_e(r) - spec.evaluate(r)
-    else:
-        raise ConfigurationError("claimed side must be LOWER or UPPER")
-    rs = grid_open_unit(scan)
-    vs = [viol(r) for r in rs]
-    i = max(range(len(rs)), key=lambda k: vs[k])
-    lo = rs[i - 1] if i > 0 else rs[0]
-    hi = rs[i + 1] if i + 1 < len(rs) else rs[-1]
-    return _golden_max(viol, lo, hi)
+    return _search(spec, claimed_side, scan, {})
 
 
 # --------------------------------------------------------------------------
@@ -656,28 +666,29 @@ def _fmt(x: float) -> str:
 
 
 def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
-    """Monotonicity sweeps for every auxiliary function, the two-sided
-    threshold inequality on a p-grid, and the sign-case classification
-    sample."""
+    """Monotonicity sweeps for every auxiliary function on one shared grid
+    table, the two-sided threshold inequality on a p-grid, and the sign-case
+    classification sample on one shared 256-point table."""
     out: list[CheckResult] = []
     plan = [("lemma22_%d" % i, None) for i in range(1, 8)]
     plan.append(("lemma23_g", None))
     plan += [("lemma24_h", {"p": p}) for p in (0.5, 0.75, 1.0, 1.5, 2.0)]
     plan.append(("lemma27_F", None))
+    tables: dict[int, tuple] = {}
     for fn, params in plan:
-        rep = sweep_monotone(fn, grid=grid_points, params=params)
+        rep = _sweep(fn, grid_points, params, tables)
         sd = _SWEEPS[fn]
-        ok = rep.worst_violation == 0.0 and rep.left_error <= sd.left_tol
+        ok = rep.worst_violation == 0.0 and rep.left_error <= sd.tol
         if rep.divergent_right:
             right_txt = "right=divergent"
         else:
-            ok = ok and rep.right_error <= sd.right_tol
-            right_txt = f"right_err={_fmt(rep.right_error)}(tol {_fmt(sd.right_tol)})"
+            ok = ok and rep.right_error <= sd.tol
+            right_txt = f"right_err={_fmt(rep.right_error)}(tol {_fmt(sd.tol)})"
         out.append(CheckResult(
             name=rep.name,
             passed=ok,
             detail=(f"dir={rep.direction.value} worst_violation={_fmt(rep.worst_violation)} "
-                    f"left_err={_fmt(rep.left_error)}(tol {_fmt(sd.left_tol)}) {right_txt} "
+                    f"left_err={_fmt(rep.left_error)}(tol {_fmt(sd.tol)}) {right_txt} "
                     f"grid={rep.grid_size}"),
         ))
 
@@ -693,7 +704,7 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     sample = lemma26_case_sample()
     bad = []
     for u, p, expected in sample:
-        rep = lemma26_classify(u, p)
+        rep = _classify(u, p, 256, tables)
         if rep.case_id is not expected:
             bad.append((u, p, expected.value, rep.case_id.value))
         elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
@@ -723,20 +734,16 @@ def _falsifier_plan() -> list[tuple[str, BoundSpec, Side]]:
 
 
 def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
-    """Validity of every sharp-constant family on the grid, then the
-    falsifiers: each sharp constant perturbed by 1e-3 into the invalid
-    region must produce a located violation."""
+    """Validity of every sharp-constant family on one grid table, then the
+    falsifiers on one shared 1000-point table: each sharp constant perturbed
+    by 1e-3 into the invalid region must produce a located violation."""
+    tables: dict[int, tuple] = {}
+    valid = _grid_table(grid_points, tables)
     out: list[CheckResult] = []
-    rs = grid_open_unit(grid_points)
-    es = [complete_e(r) for r in rs]
     for spec in default_candidates():
         side = spec.side
-        worst = -math.inf
-        at = rs[0]
-        for r, e in zip(rs, es):
-            v = spec.evaluate(r) - e if side is Side.LOWER else e - spec.evaluate(r)
-            if v > worst:
-                worst, at = v, r
+        worst, at = max(zip((_violation(*row, spec, side) for row in zip(*valid)), valid[0]),
+                        key=lambda pair: pair[0])
         out.append(CheckResult(
             name=f"valid {side.value} bound: {spec.label}",
             passed=worst <= _VALIDITY_SLACK,
@@ -744,7 +751,7 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
                    f"(slack {_fmt(_VALIDITY_SLACK)}, grid={grid_points})",
         ))
     for name, spec, side in _falsifier_plan():
-        r, v = search_violation(spec, side)
+        r, v = _search(spec, side, 1000, tables)
         out.append(CheckResult(
             name=f"falsify {name}",
             passed=v > _SOLID,
@@ -760,7 +767,8 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     out: list[CheckResult] = []
     rs = grid_open_unit(grid_points)
 
-    worst41 = max(abs(alzer_qiu_upper(r) - thm11_bound(r, ALPHA_STAR)) for r in rs)
+    aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
+    worst41 = max(abs(aq.evaluate(r) - t11.evaluate(r)) for r in rs)
     out.append(CheckResult(
         name="remark 4.1 coincidence",
         passed=worst41 < 1e-15,
@@ -779,15 +787,10 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
         detail=f"max residual {_fmt(worst42)} (tol 1e-14)",
     ))
 
-    cor_lo = BoundSpec(Family.COR31_LOWER)
-    vuo = BoundSpec(Family.VUORINEN)
-    min_gap = math.inf
-    min_gap_mid = math.inf
-    for r in rs:
-        gap = cor_lo.evaluate(r) - vuorinen_lower(r)
-        min_gap = min(min_gap, gap)
-        if r >= 0.1:
-            min_gap_mid = min(min_gap_mid, gap)
+    cor_lo, vuo = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.VUORINEN)
+    gaps = [cor_lo.evaluate(r) - vuo.evaluate(r) for r in rs]
+    min_gap = min(gaps)
+    min_gap_mid = min((gap for r, gap in zip(rs, gaps) if r >= 0.1), default=math.inf)
     out.append(CheckResult(
         name="remark 4.5 dominance",
         passed=min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
@@ -795,25 +798,22 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
                f"{_fmt(min_gap_mid)} on r >= 0.1",
     ))
 
-    cross1 = find_crossover(BoundSpec(Family.COR31_UPPER), BoundSpec(Family.ALZER_QIU))
-    ok1 = isinstance(cross1, CrossoverResult) and 0.0 < cross1.delta < 1.0 \
-        and cross1.better_near_one.family is Family.COR31_UPPER
-    out.append(CheckResult(
-        name="remark 4.3 crossover (cor31-upper vs alzer-qiu)",
-        passed=ok1,
-        detail=(f"delta1={cross1.delta:.12g} r*={cross1.r_cross:.12g}"
-                if isinstance(cross1, CrossoverResult) else "no crossover found"),
-    ))
-
-    cross2 = find_crossover(BoundSpec(Family.THM11, q=BETA_STAR), vuo)
-    ok2 = isinstance(cross2, CrossoverResult) and 0.0 < cross2.delta < 1.0 \
-        and cross2.better_near_one.family is Family.THM11
-    out.append(CheckResult(
-        name="remark 4.4 crossover (thm11 lower vs vuorinen)",
-        passed=ok2,
-        detail=(f"delta2={cross2.delta:.12g} r*={cross2.r_cross:.12g}"
-                if isinstance(cross2, CrossoverResult) else "no crossover found"),
-    ))
+    # each crossover: check name, printed delta, and the pair (a, b) of which a
+    # must be the tighter bound near r = 1
+    for name, delta_name, a, b in [
+        ("remark 4.3 crossover (cor31-upper vs alzer-qiu)", "delta1",
+         BoundSpec(Family.COR31_UPPER), BoundSpec(Family.ALZER_QIU)),
+        ("remark 4.4 crossover (thm11 lower vs vuorinen)", "delta2",
+         BoundSpec(Family.THM11, q=BETA_STAR), vuo),
+    ]:
+        cross = find_crossover(a, b)
+        found = isinstance(cross, CrossoverResult)
+        out.append(CheckResult(
+            name=name,
+            passed=found and 0.0 < cross.delta < 1.0 and cross.better_near_one is a,
+            detail=(f"{delta_name}={cross.delta:.12g} r*={cross.r_cross:.12g}"
+                    if found else "no crossover found"),
+        ))
     return out
 
 
@@ -821,13 +821,10 @@ SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    if name == "lemmas":
-        return run_lemma_suite(grid_points)
-    if name == "sharpness":
-        return run_sharpness_suite(grid_points)
-    if name == "remarks":
-        return run_remarks_suite(grid_points)
-    if name == "all":
-        return (run_lemma_suite(grid_points) + run_sharpness_suite(grid_points)
-                + run_remarks_suite(grid_points))
-    raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    # looked up per call, so each suite runs through its public name
+    runners = {"lemmas": [run_lemma_suite], "sharpness": [run_sharpness_suite],
+               "remarks": [run_remarks_suite]}
+    runners["all"] = runners["lemmas"] + runners["sharpness"] + runners["remarks"]
+    if name not in runners:
+        raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return [res for run in runners[name] for res in run(grid_points)]

@@ -16,6 +16,7 @@ from ellipbounds import (
     BoundSpec,
     ConfigurationError,
     DomainError,
+    Enclosure,
     Family,
     InvalidBoundError,
     Modulus,
@@ -80,6 +81,13 @@ class TestSharpConstants:
     def test_cor31_constants_are_thm12_thresholds(self):
         assert LAMBDA_STAR == pytest.approx(thm12_lower_threshold(2.0), abs=2e-16)
         assert MU_STAR == pytest.approx(thm12_upper_threshold(0.5), abs=2e-16)
+
+    # p = 0 divided by zero and p < 0 took a square root of a negative number
+    @pytest.mark.parametrize("threshold", [thm12_lower_threshold, thm12_upper_threshold])
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.49, 2.01, math.nan])
+    def test_threshold_domain(self, threshold, p):
+        with pytest.raises(DomainError):
+            threshold(p)
 
 
 class TestVuorinen:
@@ -337,6 +345,18 @@ class TestBestEnclosure:
             enc = best_enclosure(r, default_candidates())
             e = complete_e(r)
             assert enc.lo < e < enc.hi
+
+    def test_values_in_candidate_order(self):
+        cands = default_candidates() + [BoundSpec(Family.THM11, q=0.05)]
+        for r in (1e-8, 0.5, 1 - 1e-9):
+            enc = best_enclosure(r, cands)
+            assert enc.values == tuple(spec.evaluate(r) for spec in cands)
+            assert enc.lo == max(v for v, s in zip(enc.values, cands) if s.side is Side.LOWER)
+            assert enc.hi == min(v for v, s in zip(enc.values, cands) if s.side is Side.UPPER)
+        # the values are a by-product: not part of equality or repr
+        bare = Enclosure(lo=enc.lo, hi=enc.hi, lo_source=enc.lo_source, hi_source=enc.hi_source)
+        assert bare == enc
+        assert repr(bare) == repr(enc)
 
     def test_errors(self):
         with pytest.raises(ConfigurationError):

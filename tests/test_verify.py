@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -29,11 +30,14 @@ from ellipbounds import (
 )
 from ellipbounds.core import elliptic_ke
 from ellipbounds.verify import (
+    _SWEEPS,
     _classify_sign_pattern,
     _d2,
     _dd,
     _emr,
+    _grid_table,
     _kme,
+    _row,
     _solve3,
     _wmh,
     lemma26_case_sample,
@@ -42,6 +46,7 @@ from ellipbounds.verify import (
     run_remarks_suite,
     run_sharpness_suite,
     run_suite,
+    sweep_ids,
 )
 
 PI2 = math.pi * math.pi
@@ -50,6 +55,24 @@ PI2 = math.pi * math.pi
 G_AT_ONE_MINUS_1E6 = 12.8951565668
 DELTA_1 = 0.013622812986578747
 DELTA_2 = 0.005666838688905607
+
+
+# straddles the series cutoffs 0.02 and 0.05 and reaches both ends of the grid
+AGREEMENT_RADII = [1e-6, 0.019, 0.021, 0.049, 0.051, 0.5, 1 - 1e-6]
+PUBLIC = {**{f"lemma22_{i}": functools.partial(lemma22_function, i) for i in range(1, 8)},
+          "lemma23_g": lemma23_g, "lemma24_h": lemma24_h, "lemma27_F": lemma27_F}
+SWEEPS = [(fn, {}) for fn in sweep_ids() if fn != "lemma24_h"]
+SWEEPS += [("lemma24_h", {"p": 0.5}), ("lemma24_h", {"p": 2.0})]
+
+
+@pytest.mark.parametrize("fn,params", SWEEPS)
+def test_table_path_matches_public_path(fn, params):
+    # a sweep reads grid-table rows, which hold _row of their radius exactly;
+    # the public function evaluates a one-row table of its own
+    table = _grid_table(7, {})
+    assert list(zip(*table)) == [_row(Modulus(r)) for r in table[0]]
+    swept = [_SWEEPS[fn].fn(*_row(Modulus(r)), **params) for r in AGREEMENT_RADII]
+    assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
 
 
 def mp_blocks(r):
@@ -66,7 +89,8 @@ def test_series_blocks_match_extended_precision(r):
     # the series/direct switchover must be seamless on both sides
     m = Modulus(r)
     ke = elliptic_ke(m)
-    mine = [_kme(m, ke), _emr(m, ke), _wmh(m, ke), _d2(m, ke), _dd(m, ke)]
+    row = (m.r, m.r_comp, ke.k_val, ke.e_val)
+    mine = [_kme(*row), _emr(*row), _wmh(*row), _d2(*row), _dd(*row)]
     for got, ref in zip(mine, mp_blocks(r)):
         assert got == pytest.approx(float(ref), rel=5e-10)
 
@@ -186,6 +210,12 @@ class TestLemma26:
         a = lemma26_classify(0.26, 1.0, grid=200).eta
         b = lemma26_classify(0.26, 1.0, grid=2000).eta
         assert abs(a - b) < 1e-9
+
+    # p = 0 divided by zero and p < 0 classified as all-positive
+    @pytest.mark.parametrize("u,p", [(0.5, 0.0), (0.5, -1.0), (0.5, 2.5), (-0.1, 1.0), (1.5, 1.0)])
+    def test_expected_case_domain(self, u, p):
+        with pytest.raises(DomainError):
+            lemma26_expected_case(u, p)
 
     def test_expected_case_thresholds(self):
         assert lemma26_expected_case(0.25, 1.0) is SignCase.ALL_NEGATIVE
