@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the four deterministic outputs that must stay
-byte-identical across refactors: `verify --suite all` stdout at
-ELLIP_GRID_POINTS=2000 and at the default grid, and two `compare` CSVs
-(uniform and log-near-one spacing) over the same family list.
+"""Print the sha256 of the deterministic outputs that must stay byte-identical
+across refactors.
+
+The first four are `verify --suite all` stdout at ELLIP_GRID_POINTS=2000 and
+at the default grid, and two `compare` CSVs (uniform and log-near-one
+spacing) over the same family list.  The rest hash stdout, stderr and the
+exit code together: `enclose --families all` at three radii (the middle, a
+tiny r and the largest double below 1), `crossover` on the two remark pairs
+and on a pair without a crossover, `eval` of the perimeter and the Toader
+mean, and `compare` with r = 0 on its grid, which exits 2.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -23,42 +29,53 @@ from pathlib import Path
 FAMILIES = ["all", "thm11:q=0.05", "thm12:t=0.95,p=1.5", "thm12-upper:p=0.75",
             "thm11-lower", "barnard"]
 
-# (name, extra environment, CLI arguments, hash the CSV file instead of stdout)
+# (name, extra environment, CLI arguments, what to hash: the CSV file, stdout,
+# or stdout + stderr + exit code)
 OUTPUTS = [
-    ("verify all, grid 2000", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", "all"], False),
-    ("verify all, default grid", {}, ["verify", "--suite", "all"], False),
+    ("verify all, grid 2000", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", "all"], "stdout"),
+    ("verify all, default grid", {}, ["verify", "--suite", "all"], "stdout"),
     ("compare uniform 20000", {},
      ["compare", "--start", "1e-6", "--end", "0.999999", "--points", "20000",
-      "--families", *FAMILIES], True),
+      "--families", *FAMILIES, "--output", "table.csv"], "csv"),
     ("compare log-near-one 5000", {},
      ["compare", "--start", "1e-4", "--end", "0.9999999", "--points", "5000",
-      "--spacing", "log-near-one", "--families", *FAMILIES], True),
+      "--spacing", "log-near-one", "--families", *FAMILIES, "--output", "table.csv"], "csv"),
+    *((f"enclose all, r={r}", {}, ["enclose", "--r", r, "--families", "all"], "streams")
+      for r in ("0.5", "1e-300", repr(1.0 - 2.0**-53))),
+    *((f"crossover {a} {b}", {}, ["crossover", "--a", a, "--b", b], "streams")
+      for a, b in (("cor31-upper", "alzer-qiu"), ("thm11-lower", "vuorinen"),
+                   ("cor31-lower", "vuorinen"))),
+    ("eval perimeter", {}, ["eval", "--what", "perimeter", "--r", "0.5"], "streams"),
+    ("eval toader", {}, ["eval", "--what", "toader", "--a", "2", "--b", "1"], "streams"),
+    ("compare from r=0 (exit 2)", {},
+     ["compare", "--start", "0", "--end", "0.5", "--points", "11", "--families", "all",
+      "--output", "table.csv"], "streams"),
 ]
 
 
-def output_hash(root: Path, extra_env: dict[str, str], args: list[str], csv_out: bool) -> str:
+def output_hash(root: Path, extra_env: dict[str, str], args: list[str], what: str) -> str:
     env = {k: v for k, v in os.environ.items() if k != "ELLIP_GRID_POINTS"}
     env.update(extra_env, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        out_csv = Path(tmp) / "table.csv"
         cmd = [sys.executable, "-m", "ellipbounds.cli", *args]
-        if csv_out:
-            cmd += ["--output", str(out_csv)]
         proc = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, check=False)
-        if proc.returncode != 0:
+        if what == "streams":
+            data = b"\0".join([proc.stdout, proc.stderr, str(proc.returncode).encode()])
+        elif proc.returncode != 0:
             sys.exit(f"{root}: {' '.join(args[:1])} exited {proc.returncode}:\n"
                      + proc.stderr.decode(errors="replace"))
-        data = out_csv.read_bytes() if csv_out else proc.stdout
+        else:
+            data = (Path(tmp) / "table.csv").read_bytes() if what == "csv" else proc.stdout
     return hashlib.sha256(data).hexdigest()
 
 
 def main(argv: list[str]) -> int:
     roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parent.parent]
     differ = False
-    for name, extra_env, args, csv_out in OUTPUTS:
-        hashes = [output_hash(root, extra_env, args, csv_out) for root in roots]
+    for name, extra_env, args, what in OUTPUTS:
+        hashes = [output_hash(root, extra_env, args, what) for root in roots]
         differ = differ or len(set(hashes)) > 1
-        print(f"{name:28s} " + "  ".join(hashes))
+        print(f"{name:38s} " + "  ".join(hashes))
     if len(roots) > 1:
         print("DIFFERENT" if differ else "IDENTICAL")
     return 1 if differ else 0

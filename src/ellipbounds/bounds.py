@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, _open_modulus
+from .core import HALF_PI, MeanPair, Modulus, _float, _open_modulus
 from .errors import ConfigurationError, DomainError, InvalidBoundError
 
 __all__ = [
@@ -120,32 +120,31 @@ def _param(name: str, value: float) -> float:
     """``float(value)``, or DomainError if it lies outside the range of
     parameter ``name``."""
     lo, hi, lo_open = _RANGES[name]
-    x = float(value)
+    x = _float(value)
     if not ((lo < x if lo_open else lo <= x) and x <= hi):
         left = "(" if lo_open else "["
         raise DomainError(f"{name} must lie in {left}{lo:g}, {hi:g}], got {value!r}")
     return x
 
 
-# Kernels: one flop sequence per distinct closed form, on a validated
-# modulus in (0, 1).
+# Kernels: one flop sequence per distinct closed form, on the floats (r, r')
+# of a validated modulus in (0, 1).  BoundSpec is their only caller.
 
-def _vuorinen(m: Modulus) -> float:
-    return HALF_PI * ((1.0 + m.r_comp**1.5) / 2.0) ** (2.0 / 3.0)
+def _vuorinen(r: float, rc: float) -> float:
+    return HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)
 
 
-def _alzer_qiu(m: Modulus) -> float:
-    r2 = m.r * m.r
+def _alzer_qiu(r: float, rc: float) -> float:
+    r2 = r * r
     return _PI / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
 
 
-def _thm11(m: Modulus, q: float) -> float:
-    rc2 = m.r_comp * m.r_comp
+def _thm11(r: float, rc: float, q: float) -> float:
+    rc2 = rc * rc
     return _PI / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
 
 
-def _thm12(m: Modulus, t: float, p: float) -> float:
-    rc = m.r_comp
+def _thm12(r: float, rc: float, t: float, p: float) -> float:
     x = t + (1.0 - t) * rc
     y = (1.0 - t) + t * rc
     return 2.0 ** (p - 2.0) * _PI * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
@@ -154,18 +153,18 @@ def _thm12(m: Modulus, t: float, p: float) -> float:
 def vuorinen_lower(m: Modulus | float) -> float:
     """Lower bound (pi/2) ((1 + r'^(3/2)) / 2)^(2/3); tends to 2^(-5/3) pi
     as r -> 1."""
-    return _vuorinen(_open_modulus(m))
+    return BoundSpec(Family.VUORINEN).evaluate(m)
 
 
 def barnard_upper(m: Modulus | float) -> float:
     """Upper bound (pi/2) ((1 + r'^2) / 2)^(1/2), i.e. thm11 at q = 1/2."""
-    return _thm11(_open_modulus(m), 0.5)
+    return BoundSpec(Family.BARNARD).evaluate(m)
 
 
 def alzer_qiu_upper(m: Modulus | float) -> float:
     """Upper bound (pi/4) (sqrt(1 - a r^2) + sqrt(1 - b r^2)) with
     a = 1/2 - sqrt(2)/4 and b = 1/2 + sqrt(2)/4."""
-    return _alzer_qiu(_open_modulus(m))
+    return BoundSpec(Family.ALZER_QIU).evaluate(m)
 
 
 def thm11_bound(m: Modulus | float, q: float) -> float:
@@ -174,8 +173,7 @@ def thm11_bound(m: Modulus | float, q: float) -> float:
 
     Lower bound of E iff q <= BETA_STAR, upper bound iff q >= ALPHA_STAR.
     """
-    m = _open_modulus(m)
-    return _thm11(m, _param("q", q))
+    return BoundSpec(Family.THM11, q=q).evaluate(m)
 
 
 def thm12_bound(m: Modulus | float, t: float, p: float) -> float:
@@ -186,8 +184,7 @@ def thm12_bound(m: Modulus | float, t: float, p: float) -> float:
     Lower bound of E iff t <= thm12_lower_threshold(p), upper bound iff
     t >= thm12_upper_threshold(p).
     """
-    m = _open_modulus(m)
-    return _thm12(m, _param("t", t), _param("p", p))
+    return BoundSpec(Family.THM12, t=t, p=p).evaluate(m)
 
 
 class Side(Enum):
@@ -207,7 +204,7 @@ class Family(Enum):
 
 
 class _Row(NamedTuple):
-    """One family: ``kernel(m, *args)`` with args the spec's ``params`` or
+    """One family: ``kernel(r, r', *args)`` with args the spec's ``params`` or
     else ``fixed``; a fixed ``side``, or else the first parameter classifies
     against ``thresholds(*other params)``, listed as defaults at ``sharp_at``."""
 
@@ -286,7 +283,11 @@ class BoundSpec:
         return self.family.value + ":" + ",".join(f"{n}={v:.17g}" for n, v in zip(params, self._args))
 
     def evaluate(self, m: Modulus | float) -> float:
-        return self._kernel(_open_modulus(m), *self._args)
+        m = _open_modulus(m)
+        return self._at(m.r, m.r_comp)
+
+    def _at(self, r: float, rc: float) -> float:
+        return self._kernel(r, rc, *self._args)
 
 
 @dataclass(frozen=True)
@@ -322,11 +323,19 @@ def q_mean(a: float, b: float, t: float, p: float) -> float:
     """
     pair = MeanPair(a, b)
     t, p = _param("t", t), _param("p", p)
-    x = t * pair.a + (1.0 - t) * pair.b
-    y = t * pair.b + (1.0 - t) * pair.a
-    arith = 0.5 * (pair.a + pair.b)
+    # homogeneous of degree one: outside [2^-400, 2^400] scale the arguments
+    # by a power of two so that the squares below stay in the normal range
+    top = max(pair.a, pair.b)
+    k = 0 if 2.0**-400 <= top <= 2.0**400 else math.frexp(top)[1]
+    a, b = math.ldexp(pair.a, -k), math.ldexp(pair.b, -k)
+    x = t * a + (1.0 - t) * b
+    y = t * b + (1.0 - t) * a
+    arith = 0.5 * (a + b)
     contra = (x * x + y * y) / (x + y)
-    return contra**p * arith ** (1.0 - p)
+    try:
+        return math.ldexp(contra**p * arith ** (1.0 - p), k)
+    except OverflowError:  # for p > 1 the mean can exceed both arguments
+        return math.inf
 
 
 def _sharp_specs() -> Iterator[BoundSpec]:
@@ -365,7 +374,7 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
                 f"{spec.label} lies on neither valid side of its sharp constants: "
                 + _sharpness_hint(spec)
             )
-        values.append(spec.evaluate(m))
+        values.append(spec._at(m.r, m.r_comp))
         (lowers if side is Side.LOWER else uppers).append((values[-1], spec))
     if not lowers:
         raise ConfigurationError("candidate list has no lower bound")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bounds import BoundSpec, best_enclosure, default_candidates, parse_bound_spec
-from .core import complete_e, complete_k, ellipse_perimeter, toader_mean
+from .core import Modulus, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -113,12 +113,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.r is None:
             _err(f"--what {args.what} needs --r")
             return EXIT_USAGE
-        if args.what == "K":
-            value = complete_k(args.r)
-        elif args.what == "E":
-            value = complete_e(args.r)
-        else:
-            value = ellipse_perimeter(args.r)
+        value = {"K": complete_k, "E": complete_e, "perimeter": ellipse_perimeter}[args.what](args.r)
     print(f"{value:.15f}")
     return EXIT_OK
 
@@ -158,20 +153,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     spacing=Spacing(args.spacing))
     specs = _parse_families(args.families)
     header = ["r", "e_ref"] + [s.label for s in specs] + ["best_lo", "best_hi"]
-    rows = []
-    for r in grid.values():
-        enc = best_enclosure(r, specs)
-        row = [r, complete_e(r), *enc.values, enc.lo, enc.hi]
-        rows.append([f"{v:.17g}" for v in row])
+    rs = grid.values()
+    # only the end radii can leave (0, 1): check them and the candidates
+    # before the file is opened, so a usage error leaves it untouched
+    for r in (rs[0], rs[-1]):
+        best_enclosure(r, specs)
     try:
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            for m in map(Modulus, rs):
+                enc = best_enclosure(m, specs)
+                row = [m.r, complete_e(m), *enc.values, enc.lo, enc.hi]
+                writer.writerow([f"{v:.17g}" for v in row])
     except OSError as exc:
         _err(f"cannot write {args.output!r}: {exc}")
         return EXIT_IO
-    print(f"wrote {len(rows)} rows to {args.output}")
+    print(f"wrote {len(rs)} rows to {args.output}")
     return EXIT_OK
 
 

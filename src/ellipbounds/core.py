@@ -14,6 +14,7 @@ dataclasses, so results can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, DomainError
@@ -38,9 +39,23 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 
 _EPS = math.ulp(1.0)
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 # Quadratic convergence makes 40 iterations unreachable in practice; the cap
 # only guards against non-finite garbage sneaking through.
 _AGM_MAX_ITER = 40
+
+
+def _complement(r: float) -> float:
+    return math.sqrt((1.0 - r) * (1.0 + r))
+
+
+def _float(value: object) -> float:
+    # float(value), or nan, which every range check rejects, for a non-number
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -55,11 +70,11 @@ class Modulus:
     r_comp: float = field(init=False)
 
     def __post_init__(self) -> None:
-        r = float(self.r)
+        r = _float(self.r)
         if not (0.0 <= r <= 1.0):
             raise DomainError(f"modulus must lie in [0, 1], got {self.r!r}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "r_comp", math.sqrt((1.0 - r) * (1.0 + r)))
+        object.__setattr__(self, "r_comp", _complement(r))
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,7 @@ class MeanPair:
     b: float
 
     def __post_init__(self) -> None:
-        a, b = float(self.a), float(self.b)
+        a, b = _float(self.a), _float(self.b)
         if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"mean arguments must be positive finite, got {self.a!r}, {self.b!r}")
         object.__setattr__(self, "a", a)
@@ -89,7 +104,7 @@ def as_modulus(value: Modulus | float) -> Modulus:
     """Coerce a float in [0, 1] (or pass through a Modulus)."""
     if isinstance(value, Modulus):
         return value
-    return Modulus(float(value))
+    return Modulus(value)
 
 
 def _open_modulus(value: Modulus | float) -> Modulus:
@@ -109,18 +124,24 @@ def agm(a: float, b: float) -> float:
     The result lies in [min(a, b), max(a, b)].  Iteration stops once
     |a_n - b_n| <= 4 eps a_n.
     """
-    x, y = float(a), float(b)
+    x, y = _float(a), _float(b)
     if not (x > 0.0 and y > 0.0 and math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"agm needs positive finite arguments, got {a!r}, {b!r}")
     for _ in range(_AGM_MAX_ITER):
         if abs(x - y) <= 4.0 * _EPS * x:
             break
-        x, y = 0.5 * (x + y), math.sqrt(x * y)
+        # halves before the sum, and sqrt(x) sqrt(y) where x y leaves the
+        # normal range: both equal the plain forms everywhere else
+        xy = x * y
+        root = math.sqrt(xy) if _TINY <= xy <= _HUGE else math.sqrt(x) * math.sqrt(y)
+        x, y = 0.5 * x + 0.5 * y, root
     return x
 
 
 def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
-    # K and E from one AGM run; requires r in [0, 1).
+    # K and E from one AGM run; K diverges at r = 1.
+    if r == 1.0:
+        raise DivergenceError("K(r) diverges as r -> 1")
     a, b = 1.0, r_comp
     c = r
     csum = 0.5 * c * c
@@ -138,8 +159,6 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
 def elliptic_ke(m: Modulus | float) -> EllipticValues:
     """Evaluate K(r) and E(r) together from a single AGM run, r in [0, 1)."""
     m = as_modulus(m)
-    if m.r == 1.0:
-        raise DivergenceError("K(r) diverges as r -> 1; no (K, E) pair exists at r = 1")
     k, e = _agm_ke(m.r, m.r_comp)
     return EllipticValues(k_val=k, e_val=e)
 
@@ -152,8 +171,6 @@ def complete_k(m: Modulus | float) -> float:
     cannot silently propagate one.
     """
     m = as_modulus(m)
-    if m.r == 1.0:
-        raise DivergenceError("K(r) diverges as r -> 1")
     k, _ = _agm_ke(m.r, m.r_comp)
     return k
 
@@ -177,10 +194,10 @@ def ellipse_perimeter(r: float) -> float:
     Defined for r in (0, 1); the value decreases from 2 pi (circle, r -> 1)
     to 4 (degenerate segment, r -> 0).
     """
-    r = float(r)
-    if not (0.0 < r < 1.0):
+    x = _float(r)
+    if not (0.0 < x < 1.0):
         raise DomainError(f"ellipse aspect ratio must lie in (0, 1), got {r!r}")
-    inner = math.sqrt((1.0 - r) * (1.0 + r))
+    inner = _complement(x)
     return 4.0 * complete_e(Modulus(inner))
 
 
@@ -197,9 +214,10 @@ def toader_mean(a: float, b: float) -> float:
         return x
     if x < y:
         x, y = y, x
-    ratio = y / x
-    inner = math.sqrt((1.0 - ratio) * (1.0 + ratio))
-    return 2.0 * x * complete_e(Modulus(inner)) / math.pi
+    inner = _complement(y / x)
+    # homogeneous of degree one: scaling x to its mantissa keeps 2 x E finite
+    frac, k = math.frexp(x)
+    return math.ldexp(2.0 * frac * complete_e(Modulus(inner)) / math.pi, k)
 
 
 @dataclass(frozen=True)
@@ -223,7 +241,7 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
     against central differences with step h.  Each residual is O(h^2).
     """
     m = as_modulus(m)
-    h = float(h)
+    h = _float(h)
     if not (0.0 < h <= 1e-3):
         raise DomainError(f"step size must lie in (0, 1e-3], got {h!r}")
     r = m.r

@@ -17,6 +17,7 @@ series of K and E at import time.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,7 +37,7 @@ from .bounds import (
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _open_modulus, complete_e, elliptic_ke
+from .core import HALF_PI, Modulus, _float, _open_modulus, elliptic_ke
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -228,10 +229,10 @@ def _l27_F(r: float, rc: float, k: float, e: float) -> float:
 
 
 def _h_exponent(p: float) -> float:
-    p = float(p)
-    if not p >= 0.5:
-        raise DomainError(f"p must be >= 1/2, got {p!r}")
-    return p
+    x = _float(p)
+    if not 0.5 <= x < math.inf:
+        raise DomainError(f"p must lie in [0.5, inf), got {p!r}")
+    return x
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
@@ -325,7 +326,7 @@ class MonotoneReport:
 
 def grid_open_unit(n: int, eps: float = _GRID_EPS) -> list[float]:
     """n uniformly spaced points on (eps, 1 - eps)."""
-    if n < 2:
+    if not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
     step = (1.0 - 2.0 * eps) / (n - 1)
     return [eps + i * step for i in range(n)]
@@ -492,12 +493,12 @@ def _classify_sign_pattern(signs: list[int]) -> SignCase:
                             f"starting {'positive' if signs[0] > 0 else 'negative'}")
 
 
-def _bisect(keeps_lo: Callable[[float], bool], lo: float, hi: float, width: float) -> float:
+def _bisect(keeps_lo: Callable[[Modulus], bool], lo: float, hi: float, width: float) -> float:
     # halve [lo, hi] until at most width wide, moving lo to each midpoint
-    # where keeps_lo holds and hi to the others; the final midpoint
+    # whose modulus keeps_lo holds for and hi to the others; the final midpoint
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if keeps_lo(mid):
+        if keeps_lo(Modulus(mid)):
             lo = mid
         else:
             hi = mid
@@ -519,7 +520,7 @@ def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
     if case is SignCase.POSITIVE_THEN_NEGATIVE:
         pos = max(r for r, f in keep if f > 0)
         neg = min(r for r, f in keep if f < 0 and r > pos)
-        eta = _bisect(lambda r: _l26_f(*_row(Modulus(r)), uf, pf) > 0.0, pos, neg, 1e-10)
+        eta = _bisect(lambda m: _l26_f(*_row(m), uf, pf) > 0.0, pos, neg, 1e-10)
     return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
 
 
@@ -576,9 +577,13 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
+def _gap(a: BoundSpec, b: BoundSpec, m: Modulus) -> float:
+    return a._at(m.r, m.r_comp) - b._at(m.r, m.r_comp)
+
+
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
-    e = complete_e(r)
-    return a if abs(e - a.evaluate(r)) <= abs(e - b.evaluate(r)) else b
+    r, rc, _, e = _row(Modulus(r))
+    return a if abs(e - a._at(r, rc)) <= abs(e - b._at(r, rc)) else b
 
 
 def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverResult | NoCrossover:
@@ -588,7 +593,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
     rs = grid_open_unit(scan)
-    ds = [a.evaluate(r) - b.evaluate(r) for r in rs]
+    ds = [_gap(a, b, m) for m in map(Modulus, rs)]
     solid = [(r, d) for r, d in zip(rs, ds) if abs(d) > _SOLID]
     flips = [(r0, r1, d0 > 0) for (r0, d0), (r1, d1) in zip(solid, solid[1:])
              if (d0 > 0) != (d1 > 0)]
@@ -598,7 +603,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
         return NoCrossover(bound_a=a, bound_b=b, dominant=_closer_to_e(a, b, 0.5))
 
     lo, hi, lo_positive = flips[-1]
-    r_cross = _bisect(lambda r: (a.evaluate(r) - b.evaluate(r) > 0) == lo_positive, lo, hi, 1e-12)
+    r_cross = _bisect(lambda m: (_gap(a, b, m) > 0) == lo_positive, lo, hi, 1e-12)
     return CrossoverResult(
         delta=1.0 - r_cross,
         r_cross=r_cross,
@@ -628,7 +633,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 60
 
 def _violation(r: float, rc: float, k: float, e: float, spec: BoundSpec, side: Side) -> float:
     # how far spec lies on the wrong side of E for a claimed lower or upper bound
-    return spec.evaluate(r) - e if side is Side.LOWER else e - spec.evaluate(r)
+    return spec._at(r, rc) - e if side is Side.LOWER else e - spec._at(r, rc)
 
 
 def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float, float]:
@@ -766,9 +771,10 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     and the two crossover radii."""
     out: list[CheckResult] = []
     rs = grid_open_unit(grid_points)
+    rcs = array("d", (Modulus(r).r_comp for r in rs))
 
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
-    worst41 = max(abs(aq.evaluate(r) - t11.evaluate(r)) for r in rs)
+    worst41 = max(abs(aq._at(r, rc) - t11._at(r, rc)) for r, rc in zip(rs, rcs))
     out.append(CheckResult(
         name="remark 4.1 coincidence",
         passed=worst41 < 1e-15,
@@ -788,7 +794,7 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     ))
 
     cor_lo, vuo = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.VUORINEN)
-    gaps = [cor_lo.evaluate(r) - vuo.evaluate(r) for r in rs]
+    gaps = [cor_lo._at(r, rc) - vuo._at(r, rc) for r, rc in zip(rs, rcs)]
     min_gap = min(gaps)
     min_gap_mid = min((gap for r, gap in zip(rs, gaps) if r >= 0.1), default=math.inf)
     out.append(CheckResult(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -148,7 +149,7 @@ class TestThm11:
         for r in grid(1000):
             assert thm11_bound(r, 0.3) > complete_e(r) - 1e-13
 
-    @pytest.mark.parametrize("q", [0.0, -0.1, 0.50001, 1.0])
+    @pytest.mark.parametrize("q", [0.0, -0.1, 0.50001, 1.0, "x"])
     def test_q_domain(self, q):
         with pytest.raises(DomainError):
             thm11_bound(0.5, q)
@@ -262,6 +263,27 @@ class TestQMean:
         with pytest.raises(DomainError):
             q_mean(1.0, 1.0, 0.2, 1.0)
 
+    # the squares of these arguments leave the double range, the mean does not
+    @pytest.mark.parametrize("a,b,t,p", [(1e-200, 2e-200, 0.6, 1.0), (1e200, 2e200, 0.6, 1.0),
+                                         (1e-300, 3e-300, 0.9, 2.0), (1e300, 3e300, 0.9, 0.5)])
+    def test_extreme_scales_against_extended_precision(self, a, b, t, p):
+        with mpmath.workdps(40):
+            a_, b_, t_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+            x, y = t_ * a_ + (1 - t_) * b_, t_ * b_ + (1 - t_) * a_
+            ref = float(((x * x + y * y) / (x + y)) ** p * ((a_ + b_) / 2) ** (1 - p))
+        assert q_mean(a, b, t, p) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @given(st.floats(min_value=5e-324, max_value=sys.float_info.max / 4),
+           st.floats(min_value=5e-324, max_value=sys.float_info.max / 4),
+           st.floats(min_value=0.5, max_value=1.0), st.floats(min_value=0.5, max_value=2.0))
+    @settings(max_examples=300)
+    def test_finite_and_bracketed_at_every_scale(self, a, b, t, p):
+        # C^p A^(1-p) lies in [A, max^p A^(1-p)] and A >= max/2, so it stays
+        # below max * 2^(p-1) for p > 1; relative bounds allow for rounding
+        v = q_mean(a, b, t, p)
+        assert math.isfinite(v)
+        assert min(a, b) * (1.0 - 1e-15) <= v <= max(a, b) * max(1.0, 2.0 ** (p - 1.0)) * (1.0 + 1e-15)
+
 
 class TestBoundSpecSide:
     def test_thm11_classification(self):
@@ -285,6 +307,10 @@ class TestBoundSpecSide:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             BoundSpec(Family.THM11)
+        with pytest.raises(ConfigurationError):
+            thm11_bound(0.5, None)
+        with pytest.raises(DomainError):
+            BoundSpec(Family.THM11, q="x")
         with pytest.raises(ConfigurationError):
             BoundSpec(Family.VUORINEN, q=0.1)
         with pytest.raises(DomainError):

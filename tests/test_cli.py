@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,31 @@ class TestCompare:
                                     "--output", "/nonexistent-dir/x.csv"])
         assert code == 4
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("start,end", [("0", "0.5"), ("0.5", "1")])
+    def test_endpoint_radius_leaves_existing_output(self, tmp_path, capsys, start, end):
+        # r = 0 or 1 is a usage error, raised before the file is opened
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("earlier contents\n")
+        code, _, err = run(capsys, ["compare", "--start", start, "--end", end,
+                                    "--points", "5", "--families", "all",
+                                    "--output", str(out_path)])
+        assert code == 2
+        assert "open interval" in err
+        assert out_path.read_text() == "earlier contents\n"
+
+    def test_rows_are_streamed(self, tmp_path, capsys):
+        # a table held in memory peaks above 10 MB at this size
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["compare", "--start", "1e-6", "--end", "0.999999",
+                                      "--points", "20000", "--families", "vuorinen", "barnard",
+                                      "--output", str(tmp_path / "table.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
     def test_bad_grid(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["compare", "--start", "0.9", "--end", "0.1",

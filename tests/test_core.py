@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from ellipbounds import (
 from oracles import mp_agm, quad_e, quad_k
 
 HALF_PI = math.pi / 2.0
+EPS = math.ulp(1.0)
 
 
 class TestAgm:
@@ -40,7 +43,8 @@ class TestAgm:
         assert abs(agm(1.0, 0.5) - mp_agm(1.0, 0.5, iters=20)) < 1e-14
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0),
-                                     (float("nan"), 1.0), (float("inf"), 1.0)])
+                                     (float("nan"), 1.0), (float("inf"), 1.0),
+                                     (None, 1.0), ("x", 1.0)])
     def test_domain_errors(self, a, b):
         with pytest.raises(DomainError):
             agm(a, b)
@@ -61,7 +65,7 @@ class TestModulus:
             exact = float(mpmath.sqrt((1 - mpmath.mpf(m.r)) * (1 + mpmath.mpf(m.r))))
         assert m.r_comp == pytest.approx(exact, rel=1e-13)
 
-    @pytest.mark.parametrize("r", [-0.1, 1.0000001, float("nan"), 2.0])
+    @pytest.mark.parametrize("r", [-0.1, 1.0000001, float("nan"), 2.0, None, "x"])
     def test_rejects_out_of_range(self, r):
         with pytest.raises(DomainError):
             Modulus(r)
@@ -100,6 +104,11 @@ class TestCompleteE:
         vals = [complete_e(r) for r in grid]
         assert all(a - b > -1e-13 for a, b in zip(vals, vals[1:]))
         assert all(1.0 <= v <= HALF_PI for v in vals)
+
+    @pytest.mark.parametrize("r", [None, "x", [0.5]])
+    def test_rejects_non_numbers(self, r):
+        with pytest.raises(DomainError):
+            complete_e(r)
 
     @given(st.floats(min_value=0.0, max_value=0.999999))
     @settings(max_examples=50)
@@ -188,6 +197,46 @@ class TestToaderMean:
             toader_mean(-1.0, 2.0)
         with pytest.raises(DomainError):
             toader_mean(1.0, 0.0)
+        with pytest.raises(DomainError):
+            toader_mean(None, 1.0)
+
+
+POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+def mp_toader(a: float, b: float) -> float:
+    """T(a, b) = 2 x E(sqrt(1 - (y/x)^2)) / pi with x = max, y = min, at 40 digits."""
+    with mpmath.workdps(40):
+        x, y = max(mpmath.mpf(a), mpmath.mpf(b)), min(mpmath.mpf(a), mpmath.mpf(b))
+        return float(2 * x * mpmath.ellipe(1 - (y / x) ** 2) / mpmath.pi)
+
+
+class TestMeansAtExtremeScales:
+    # x y and 2 x E leave the double range here, the means themselves do not
+    @pytest.mark.parametrize("a,b", [(1e-200, 2e-200), (1e200, 2e200), (5e-324, 1e308)])
+    def test_agm_against_extended_precision(self, a, b):
+        with mpmath.workdps(40):
+            ref = float(mpmath.agm(mpmath.mpf(a), mpmath.mpf(b)))
+        assert agm(a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1.5e308), (sys.float_info.max, 1.0)])
+    def test_toader_against_extended_precision(self, a, b):
+        assert toader_mean(a, b) == pytest.approx(mp_toader(a, b), rel=1e-14, abs=0.0)
+
+    @given(POSITIVE_DOUBLES, POSITIVE_DOUBLES)
+    @settings(max_examples=300)
+    def test_agm_finite_and_between(self, a, b):
+        v = agm(a, b)
+        assert math.isfinite(v)
+        assert min(a, b) <= v <= max(a, b)
+
+    @given(POSITIVE_DOUBLES, POSITIVE_DOUBLES)
+    @settings(max_examples=300)
+    def test_toader_finite_and_between(self, a, b):
+        # can sit an ulp outside [min, max] at any scale, hence the relative bound
+        v = toader_mean(a, b)
+        assert math.isfinite(v)
+        assert min(a, b) * (1.0 - 4 * EPS) <= v <= max(a, b) * (1.0 + 4 * EPS)
 
 
 class TestDerivativeResiduals:

@@ -18,6 +18,8 @@ from ellipbounds import (
     find_crossover,
     Side,
     VerificationError,
+    best_enclosure,
+    default_candidates,
     lemma22_function,
     lemma23_g,
     lemma24_h,
@@ -40,6 +42,7 @@ from ellipbounds.verify import (
     _row,
     _solve3,
     _wmh,
+    grid_open_unit,
     lemma26_case_sample,
     lemma26_expected_case,
     run_lemma_suite,
@@ -149,6 +152,13 @@ class TestLemma24:
         with pytest.raises(DomainError):
             lemma24_h(0.5, 0.3)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, None])
+    def test_p_must_be_finite(self, p):
+        with pytest.raises(DomainError):
+            lemma24_h(0.5, p)
+        with pytest.raises(DomainError):
+            sweep_monotone("lemma24_h", grid=1000, params={"p": p})
+
 
 class TestLemma25:
     def test_p2_constants(self):
@@ -212,10 +222,13 @@ class TestLemma26:
         assert abs(a - b) < 1e-9
 
     # p = 0 divided by zero and p < 0 classified as all-positive
-    @pytest.mark.parametrize("u,p", [(0.5, 0.0), (0.5, -1.0), (0.5, 2.5), (-0.1, 1.0), (1.5, 1.0)])
+    @pytest.mark.parametrize("u,p", [(0.5, 0.0), (0.5, -1.0), (0.5, 2.5), (-0.1, 1.0), (1.5, 1.0),
+                                     (None, 1.0), (0.5, "x")])
     def test_expected_case_domain(self, u, p):
         with pytest.raises(DomainError):
             lemma26_expected_case(u, p)
+        with pytest.raises(DomainError):
+            lemma26_f(0.5, u, p)
 
     def test_expected_case_thresholds(self):
         assert lemma26_expected_case(0.25, 1.0) is SignCase.ALL_NEGATIVE
@@ -327,6 +340,53 @@ class TestSearchViolation:
     def test_requires_side(self):
         with pytest.raises(ConfigurationError):
             search_violation(BoundSpec(Family.THM11, q=0.13), Side.INVALID)
+
+
+# each call with a grid size that is not an integer
+NON_INTEGER_GRIDS = {
+    "grid_open_unit": lambda: grid_open_unit(3.5),
+    "sweep_monotone": lambda: sweep_monotone("lemma22_1", 1000.0),
+    "lemma26_classify": lambda: lemma26_classify(0.5, 1.0, 100.5),
+    "search_violation": lambda: search_violation(BoundSpec(Family.THM11, q=0.1), Side.LOWER, 10.5),
+    "find_crossover": lambda: find_crossover(BoundSpec(Family.COR31_UPPER),
+                                             BoundSpec(Family.ALZER_QIU), 10.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_GRIDS.values(), ids=NON_INTEGER_GRIDS.keys())
+def test_non_integer_grid_is_a_configuration_error(call):
+    with pytest.raises(ConfigurationError):
+        call()
+
+
+@pytest.fixture
+def modulus_count(monkeypatch):
+    """Counts the Modulus objects built while the test runs."""
+    count = [0]
+    post_init = Modulus.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Modulus, "__post_init__", counting)
+    return count
+
+
+class TestValidatedOnce:
+    # a radius is validated by the public call that receives it; the scans
+    # below it build one Modulus per radius they visit, not one per bound
+    def test_enclosure_builds_one_modulus(self, modulus_count):
+        best_enclosure(0.5, default_candidates())
+        assert modulus_count[0] == 1
+
+    def test_sharpness_suite(self, modulus_count):
+        run_sharpness_suite(grid_points=2000)
+        assert modulus_count[0] <= 2000 + 2000
+
+    def test_remarks_suite(self, modulus_count):
+        run_remarks_suite(grid_points=2000)
+        assert modulus_count[0] <= 2000 + 2500
 
 
 class TestSuites:
