@@ -4,8 +4,11 @@ across refactors.
 
 The first four are `verify --suite all` stdout at ELLIP_GRID_POINTS=2000 and
 at the default grid, and two `compare` CSVs (uniform and log-near-one
-spacing) over the same family list.  The rest hash stdout, stderr and the
-exit code together: `enclose --families all` at three radii (the middle, a
+spacing) over the same family list.  The next four are `verify` stdout for
+each single suite at ELLIP_GRID_POINTS=2000, which builds its own grid
+tables, and for `--suite all` at ELLIP_GRID_POINTS=1000, where the sweep
+grid and the 1000-point falsifier grid are one table.  The rest hash stdout,
+stderr and the exit code together: `enclose --families all` at three radii (the middle, a
 tiny r and the largest double below 1), `crossover` on the two remark pairs
 and on a pair without a crossover, `eval` of the perimeter and the Toader
 mean, and `compare` with r = 0 on its grid, which exits 2.
@@ -40,6 +43,9 @@ OUTPUTS = [
     ("compare log-near-one 5000", {},
      ["compare", "--start", "1e-4", "--end", "0.9999999", "--points", "5000",
       "--spacing", "log-near-one", "--families", *FAMILIES, "--output", "table.csv"], "csv"),
+    *((f"verify {suite}, grid 2000", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", suite],
+       "stdout") for suite in ("lemmas", "sharpness", "remarks")),
+    ("verify all, grid 1000", {"ELLIP_GRID_POINTS": "1000"}, ["verify", "--suite", "all"], "stdout"),
     *((f"enclose all, r={r}", {}, ["enclose", "--r", r, "--families", "all"], "streams")
       for r in ("0.5", "1e-300", repr(1.0 - 2.0**-53))),
     *((f"crossover {a} {b}", {}, ["crossover", "--a", a, "--b", b], "streams")

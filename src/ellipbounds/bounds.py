@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .core import HALF_PI, MeanPair, Modulus, _float, _open_modulus
@@ -127,8 +128,8 @@ def _param(name: str, value: float) -> float:
     return x
 
 
-# Kernels: one flop sequence per distinct closed form, on the floats (r, r')
-# of a validated modulus in (0, 1).  BoundSpec is their only caller.
+# Kernels: one flop sequence per distinct closed form, on (*args, r, r') with
+# r in (0, 1) validated.  Only BoundSpec._at, a kernel with its args bound, calls them.
 
 def _vuorinen(r: float, rc: float) -> float:
     return HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)
@@ -139,12 +140,12 @@ def _alzer_qiu(r: float, rc: float) -> float:
     return _PI / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
 
 
-def _thm11(r: float, rc: float, q: float) -> float:
+def _thm11(q: float, r: float, rc: float) -> float:
     rc2 = rc * rc
     return _PI / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
 
 
-def _thm12(r: float, rc: float, t: float, p: float) -> float:
+def _thm12(t: float, p: float, r: float, rc: float) -> float:
     x = t + (1.0 - t) * rc
     y = (1.0 - t) + t * rc
     return 2.0 ** (p - 2.0) * _PI * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
@@ -204,7 +205,7 @@ class Family(Enum):
 
 
 class _Row(NamedTuple):
-    """One family: ``kernel(r, r', *args)`` with args the spec's ``params`` or
+    """One family: ``kernel(*args, r, r')`` with args the spec's ``params`` or
     else ``fixed``; a fixed ``side``, or else the first parameter classifies
     against ``thresholds(*other params)``, listed as defaults at ``sharp_at``."""
 
@@ -240,14 +241,16 @@ class BoundSpec:
     ``side`` classifies against the sharp constants with the non-strict
     inequalities under which they are stated; parameters strictly between
     the two thresholds give Side.INVALID.  The kernel, its arguments and
-    the side are resolved once, at construction.
+    the side are resolved once, at construction; ``_at(r, r')`` is the
+    kernel with its arguments bound (a ``functools.partial``), which the
+    verify scans map over the columns of a grid table with no wrapper frame.
     """
 
     family: Family
     q: float | None = None
     t: float | None = None
     p: float | None = None
-    _kernel: Callable[..., float] = field(init=False, repr=False, compare=False)
+    _at: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     _args: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _side: Side = field(init=False, repr=False, compare=False)
 
@@ -267,7 +270,7 @@ class BoundSpec:
         if side is None:
             lo, hi = row.thresholds(*args[1:])
             side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
-        object.__setattr__(self, "_kernel", row.kernel)
+        object.__setattr__(self, "_at", partial(row.kernel, *args))
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_side", side)
 
@@ -285,9 +288,6 @@ class BoundSpec:
     def evaluate(self, m: Modulus | float) -> float:
         m = _open_modulus(m)
         return self._at(m.r, m.r_comp)
-
-    def _at(self, r: float, rc: float) -> float:
-        return self._kernel(r, rc, *self._args)
 
 
 @dataclass(frozen=True)

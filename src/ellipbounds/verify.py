@@ -3,9 +3,9 @@ the bound proofs, grid sweeps with endpoint extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
 Every auxiliary function is a pure function of one row (r, r', K, E) of a
-grid table, which is built once per grid with one elliptic_ke call per radius
-and read by every check on that grid; a public function such as lemma23_g(r)
-evaluates a one-row table through the same row function.
+grid table, built once per grid and suite run with one AGM run per radius;
+every scan on that grid maps a row function or a bound over its columns.  A
+public function such as lemma23_g(r) evaluates one row the same way.
 
 Near r = 0 the auxiliary functions combine K and E in ways that cancel
 catastrophically (E - r'^2 K and K - E vanish like r^2, E^2 - r'^2 K^2 like
@@ -22,8 +22,11 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from bisect import bisect_left
 from functools import reduce
-from typing import Callable, Sequence
+from itertools import repeat
+from operator import itemgetter, sub
+from typing import Callable, Iterator, Sequence
 
 from .bounds import (
     ALPHA_STAR,
@@ -37,7 +40,7 @@ from .bounds import (
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _float, _open_modulus, elliptic_ke
+from .core import HALF_PI, Modulus, _agm_ke, _complement, _float, _open_modulus, elliptic_ke
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -86,23 +89,29 @@ _CUT_R4 = 0.05
 
 # --------------------------------------------------------------------------
 # Grid tables: every series block and auxiliary function below is a pure
-# function of one row (r, r', K, E), built only here from one elliptic_ke call.
+# function of one row (r, r', K, E), from _row (one radius) or _grid_table.
 
 def _row(m: Modulus) -> tuple[float, float, float, float]:
     ke = elliptic_ke(m)
     return m.r, m.r_comp, ke.k_val, ke.e_val
 
 
+def _radii(n: int) -> tuple[array, array]:
+    # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
+    rs = array("d", grid_open_unit(n))
+    return rs, array("d", map(_complement, rs))
+
+
 def _grid_table(n: int, tables: dict[int, tuple]) -> tuple:
     """The rows of the n-point grid_open_unit grid as columns (r, r', K, E)
     of doubles, built once per tables dict; zip(*table) iterates the rows."""
     if n not in tables:
-        rs, rcs, ks, es = grid_open_unit(n), array("d"), array("d"), array("d")
-        for _, rc, k, e in map(_row, map(Modulus, rs)):
-            rcs.append(rc)
+        rs, rcs = _radii(n)
+        ks, es = array("d"), array("d")
+        for k, e in map(_agm_ke, rs, rcs):
             ks.append(k)
             es.append(e)
-        tables[n] = array("d", rs), rcs, ks, es
+        tables[n] = rs, rcs, ks, es
     return tables[n]
 
 
@@ -235,23 +244,40 @@ def _h_exponent(p: float) -> float:
     return x
 
 
+# Below this radius r^2 < 1e-80, so every swept function equals its claimed
+# r = 0+ limit to double precision, while r^2 and (E - r'^2 K)^2 in the row
+# functions go subnormal and then 0 further down (below r ~ 1e-162 and 1e-81).
+_LIMIT_R = 1e-40
+
+
+def _public(fn: str, m: Modulus | float, **params: float) -> float:
+    # the public scalar path of a swept function: validate, then one row, or
+    # the claimed r = 0+ limit below _LIMIT_R
+    sd = _SWEEPS[fn]
+    m = _open_modulus(m)
+    params = sd.check(params)
+    if m.r < _LIMIT_R:
+        return sd.limits(params)[0]
+    return sd.fn(*_row(m), **params)
+
+
 def lemma22_function(idx: int, m: Modulus | float) -> float:
     """Evaluate part (idx) of the seven-part monotonicity lemma, idx in 1..7."""
     if idx not in range(1, 8):
         raise ConfigurationError(f"lemma part index must be 1..7, got {idx!r}")
-    return _SWEEPS[f"lemma22_{int(idx)}"].fn(*_row(_open_modulus(m)))
+    return _public(f"lemma22_{int(idx)}", m)
 
 
 def lemma23_g(m: Modulus | float) -> float:
     """g = [(K-E)(E-r'^2 K) + E((K-E) - (E-r'^2 K))] / (E-r'^2 K)^2,
     increasing from 3/2 to infinity."""
-    return _l23_g(*_row(_open_modulus(m)))
+    return _public("lemma23_g", m)
 
 
 def lemma24_h(m: Modulus | float, p: float) -> float:
     """h = (2p-1) r^2 + 2p r^2 E / (E - r'^2 K); decreasing from 4p to 4p-1
     exactly when p <= 2."""
-    return _l24_h(*_row(_open_modulus(m)), _h_exponent(p))
+    return _public("lemma24_h", m, p=p)
 
 
 @dataclass(frozen=True)
@@ -278,7 +304,7 @@ def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
 def lemma27_F(m: Modulus | float) -> float:
     """F = (2E - r'^2 K)^2 [1 + (pi^2 - 4 (2E - r'^2 K)^2)/(pi^2 r^2)];
     increasing from pi^2/8 to 8 (pi^2 - 8)/pi^2."""
-    return _l27_F(*_row(_open_modulus(m)))
+    return _public("lemma27_F", m)
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +351,18 @@ class MonotoneReport:
 
 
 def grid_open_unit(n: int, eps: float = _GRID_EPS) -> list[float]:
-    """n uniformly spaced points on (eps, 1 - eps)."""
+    """n uniformly spaced points on (eps, 1 - eps), 0 < eps < 1/2, all of
+    them inside (0, 1)."""
     if not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
-    step = (1.0 - 2.0 * eps) / (n - 1)
-    return [eps + i * step for i in range(n)]
+    x = _float(eps)
+    step = (1.0 - 2.0 * x) / (n - 1)
+    points = [x + i * step for i in range(n)]
+    # a margin below ~1e-16 rounds the last point up to 1
+    if not (0.0 < x < 0.5 and points[-1] < 1.0):
+        raise ConfigurationError(f"grid margin eps must lie in (0, 0.5) and keep 1 - eps "
+                                 f"below 1, got {eps!r}")
+    return points
 
 
 def _solve3(mat: list[list[float]], rhs: list[float]) -> list[float]:
@@ -384,6 +417,14 @@ class _SweepDef:
     tol: float
     params: dict[str, Callable[[float], float]] = field(default_factory=dict)
 
+    def check(self, params: dict) -> dict[str, float]:
+        """The values of ``self.params``, validated and in that order."""
+        return {name: check(params[name]) for name, check in self.params.items()}
+
+    def limits(self, params: dict[str, float]) -> tuple[float, float]:
+        """The claimed (left, right) limits at validated parameters."""
+        return tuple(c(**params) if callable(c) else c for c in (self.left, self.right))
+
 
 _SWEEPS: dict[str, _SweepDef] = {
     "lemma22_1": _SweepDef(_l22_1, Direction.INCREASING, _PI / 4.0, 1.0, "rc2", 1e-3),
@@ -415,16 +456,16 @@ def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneRep
     params = dict(params or {})
     if set(params) != set(sd.params):
         raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
-    params = {name: check(params[name]) for name, check in sd.params.items()}
+    params = sd.check(params)
 
     rs, _, ks, _ = table = _grid_table(grid, tables)
-    fs = [sd.fn(*row, **params) for row in zip(*table)]
-    sign = 1.0 if sd.direction is Direction.INCREASING else -1.0
-    worst = reduce(max, (sign * (prev - val) for prev, val in zip(fs, fs[1:])), 0.0)
-    worst = max(0.0, worst - _MONOTONE_TOL)
+    fs = list(map(sd.fn, *table, *map(repeat, params.values())))
+    # movement against the claimed direction between consecutive grid points
+    moves = map(sub, fs, fs[1:]) if sd.direction is Direction.INCREASING else map(sub, fs[1:], fs)
+    worst = max(0.0, reduce(max, moves, 0.0) - _MONOTONE_TOL)
 
     left = _extrapolate("r2", rs[:3], ks[:3], fs[:3])
-    claimed_left, claimed_right = (c(**params) if callable(c) else c for c in (sd.left, sd.right))
+    claimed_left, claimed_right = sd.limits(params)
     if math.isinf(claimed_right):
         right = math.inf
     else:
@@ -511,7 +552,7 @@ def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
         raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
     uf, pf = _param("u", u), _param("p", p)
     table = _grid_table(grid, tables)
-    fs = [_l26_f(*row, uf, pf) for row in zip(*table)]
+    fs = map(_l26_f, *table, repeat(uf), repeat(pf))
     keep = [(r, f) for r, f in zip(table[0], fs) if abs(f) > _SIGN_TOL]
     if not keep:
         raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
@@ -577,10 +618,6 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
-def _gap(a: BoundSpec, b: BoundSpec, m: Modulus) -> float:
-    return a._at(m.r, m.r_comp) - b._at(m.r, m.r_comp)
-
-
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
     r, rc, _, e = _row(Modulus(r))
     return a if abs(e - a._at(r, rc)) <= abs(e - b._at(r, rc)) else b
@@ -592,8 +629,8 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     sign-less so that pairs which agree to machine precision near an
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
-    rs = grid_open_unit(scan)
-    ds = [_gap(a, b, m) for m in map(Modulus, rs)]
+    rs, rcs = _radii(scan)
+    ds = map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs))
     solid = [(r, d) for r, d in zip(rs, ds) if abs(d) > _SOLID]
     flips = [(r0, r1, d0 > 0) for (r0, d0), (r1, d1) in zip(solid, solid[1:])
              if (d0 > 0) != (d1 > 0)]
@@ -603,7 +640,8 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
         return NoCrossover(bound_a=a, bound_b=b, dominant=_closer_to_e(a, b, 0.5))
 
     lo, hi, lo_positive = flips[-1]
-    r_cross = _bisect(lambda m: (_gap(a, b, m) > 0) == lo_positive, lo, hi, 1e-12)
+    r_cross = _bisect(lambda m: (a._at(m.r, m.r_comp) > b._at(m.r, m.r_comp)) == lo_positive,
+                      lo, hi, 1e-12)
     return CrossoverResult(
         delta=1.0 - r_cross,
         r_cross=r_cross,
@@ -631,9 +669,10 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 60
     return x, max(fc, fd)
 
 
-def _violation(r: float, rc: float, k: float, e: float, spec: BoundSpec, side: Side) -> float:
-    # how far spec lies on the wrong side of E for a claimed lower or upper bound
-    return spec._at(r, rc) - e if side is Side.LOWER else e - spec._at(r, rc)
+def _violations(spec: BoundSpec, side: Side, rs, rcs, ks, es) -> Iterator[float]:
+    # how far spec lies on the wrong side of E, claimed as a side bound, per row
+    bs = map(spec._at, rs, rcs)
+    return map(sub, bs, es) if side is Side.LOWER else map(sub, es, bs)
 
 
 def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float, float]:
@@ -641,11 +680,10 @@ def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float
     if side not in (Side.LOWER, Side.UPPER):
         raise ConfigurationError("claimed side must be LOWER or UPPER")
     rs, *_ = table = _grid_table(scan, tables)
-    vs = [_violation(*row, spec, side) for row in zip(*table)]
-    i = vs.index(max(vs))
-    lo = rs[i - 1] if i > 0 else rs[0]
-    hi = rs[i + 1] if i + 1 < len(rs) else rs[-1]
-    return _golden_max(lambda r: _violation(*_row(Modulus(r)), spec, side), lo, hi)
+    _, i = max(zip(_violations(spec, side, *table), range(len(rs))), key=itemgetter(0))
+    lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+    # the refinement evaluates one-row tables: zip(row) gives its columns
+    return _golden_max(lambda r: next(_violations(spec, side, *zip(_row(Modulus(r))))), lo, hi)
 
 
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:
@@ -674,12 +712,15 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Monotonicity sweeps for every auxiliary function on one shared grid
     table, the two-sided threshold inequality on a p-grid, and the sign-case
     classification sample on one shared 256-point table."""
+    return _lemmas(grid_points, {})
+
+
+def _lemmas(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
     plan = [("lemma22_%d" % i, None) for i in range(1, 8)]
     plan.append(("lemma23_g", None))
     plan += [("lemma24_h", {"p": p}) for p in (0.5, 0.75, 1.0, 1.5, 2.0)]
     plan.append(("lemma27_F", None))
-    tables: dict[int, tuple] = {}
     for fn, params in plan:
         rep = _sweep(fn, grid_points, params, tables)
         sd = _SWEEPS[fn]
@@ -742,13 +783,15 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Validity of every sharp-constant family on one grid table, then the
     falsifiers on one shared 1000-point table: each sharp constant perturbed
     by 1e-3 into the invalid region must produce a located violation."""
-    tables: dict[int, tuple] = {}
+    return _sharpness(grid_points, {})
+
+
+def _sharpness(grid_points: int, tables: dict) -> list[CheckResult]:
     valid = _grid_table(grid_points, tables)
     out: list[CheckResult] = []
     for spec in default_candidates():
         side = spec.side
-        worst, at = max(zip((_violation(*row, spec, side) for row in zip(*valid)), valid[0]),
-                        key=lambda pair: pair[0])
+        worst, at = max(zip(_violations(spec, side, *valid), valid[0]), key=itemgetter(0))
         out.append(CheckResult(
             name=f"valid {side.value} bound: {spec.label}",
             passed=worst <= _VALIDITY_SLACK,
@@ -769,12 +812,15 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """The bound-comparison claims: the coincidence identity, the quadratic
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
+    return _remarks(grid_points, {})
+
+
+def _remarks(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
-    rs = grid_open_unit(grid_points)
-    rcs = array("d", (Modulus(r).r_comp for r in rs))
+    rs, rcs = tables[grid_points][:2] if grid_points in tables else _radii(grid_points)
 
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
-    worst41 = max(abs(aq._at(r, rc) - t11._at(r, rc)) for r, rc in zip(rs, rcs))
+    worst41 = max(map(abs, map(sub, map(aq._at, rs, rcs), map(t11._at, rs, rcs))))
     out.append(CheckResult(
         name="remark 4.1 coincidence",
         passed=worst41 < 1e-15,
@@ -794,9 +840,9 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     ))
 
     cor_lo, vuo = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.VUORINEN)
-    gaps = [cor_lo._at(r, rc) - vuo._at(r, rc) for r, rc in zip(rs, rcs)]
+    gaps = list(map(sub, map(cor_lo._at, rs, rcs), map(vuo._at, rs, rcs)))
     min_gap = min(gaps)
-    min_gap_mid = min((gap for r, gap in zip(rs, gaps) if r >= 0.1), default=math.inf)
+    min_gap_mid = min(gaps[bisect_left(rs, 0.1):], default=math.inf)
     out.append(CheckResult(
         name="remark 4.5 dominance",
         passed=min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
@@ -823,14 +869,14 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     return out
 
 
-SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
+_RUNNERS = {"lemmas": _lemmas, "sharpness": _sharpness, "remarks": _remarks}
+SUITE_NAMES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    # looked up per call, so each suite runs through its public name
-    runners = {"lemmas": [run_lemma_suite], "sharpness": [run_sharpness_suite],
-               "remarks": [run_remarks_suite]}
-    runners["all"] = runners["lemmas"] + runners["sharpness"] + runners["remarks"]
-    if name not in runners:
+    # one tables dict per call, so "all" builds each grid's table once
+    if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return [res for run in runners[name] for res in run(grid_points)]
+    runners = _RUNNERS.values() if name == "all" else [_RUNNERS[name]]
+    tables: dict[int, tuple] = {}
+    return [res for run in runners for res in run(grid_points, tables)]

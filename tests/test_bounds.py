@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import mpmath
@@ -325,6 +327,34 @@ class TestBoundSpecSide:
         # accepted once, with the label of the different spec thm11:q=0.1
         with pytest.raises(ConfigurationError):
             BoundSpec(Family.THM11, q=0.1, t=0.7)
+
+
+# the kernel with its arguments bound is a private field outside equality, so
+# a spec still compares, hashes, copies and pickles by family and parameters
+VALUE_SPECS = default_candidates() + [BoundSpec(Family.THM11, q=0.05),
+                                      BoundSpec(Family.THM12, t=0.95, p=1.5)]
+
+
+class TestBoundSpecValueType:
+    def test_equality_and_hash(self):
+        for spec in VALUE_SPECS:
+            twin = BoundSpec(spec.family, q=spec.q, t=spec.t, p=spec.p)
+            assert twin == spec
+            assert hash(twin) == hash(spec)
+        assert len(set(VALUE_SPECS)) == len(VALUE_SPECS)
+        assert BoundSpec(Family.THM11, q=0.05) != BoundSpec(Family.THM11, q=0.06)
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["deepcopy", "pickle"])
+    def test_round_trip(self, copy_of):
+        for spec in VALUE_SPECS:
+            twin = copy_of(spec)
+            assert twin == spec
+            assert hash(twin) == hash(spec)
+            assert repr(twin) == repr(spec)
+            assert twin.side is spec.side
+            assert twin.label == spec.label
+            assert twin.evaluate(0.3) == spec.evaluate(0.3)
 
 
 class TestBestEnclosure:

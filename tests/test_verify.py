@@ -4,6 +4,9 @@ import math
 import mpmath
 import pytest
 
+import ellipbounds.core
+import ellipbounds.verify
+
 from ellipbounds import (
     BETA_STAR,
     BoundSpec,
@@ -37,6 +40,7 @@ from ellipbounds.verify import (
     _d2,
     _dd,
     _emr,
+    _falsifier_plan,
     _grid_table,
     _kme,
     _row,
@@ -76,6 +80,16 @@ def test_table_path_matches_public_path(fn, params):
     assert list(zip(*table)) == [_row(Modulus(r)) for r in table[0]]
     swept = [_SWEEPS[fn].fn(*_row(Modulus(r)), **params) for r in AGREEMENT_RADII]
     assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
+
+
+@pytest.mark.parametrize("r", [1e-20, 1e-80, 1e-161, 1e-200, 5e-324])
+@pytest.mark.parametrize("fn,params", SWEEPS)
+def test_public_path_reaches_left_limit(fn, params, r):
+    # r^2 and (E - r'^2 K)^2 underflow below r ~ 1e-162 and 1e-81; the value
+    # must still be the claimed r = 0+ limit to double precision
+    left = _SWEEPS[fn].left
+    claimed = left(**params) if callable(left) else left
+    assert PUBLIC[fn](r, **params) == pytest.approx(claimed, rel=1e-15)
 
 
 def mp_blocks(r):
@@ -342,9 +356,13 @@ class TestSearchViolation:
             search_violation(BoundSpec(Family.THM11, q=0.13), Side.INVALID)
 
 
-# each call with a grid size that is not an integer
+# each call with a grid size that is not an integer, or a grid margin that
+# gave nan radii, a decreasing grid or a last point of 1
 NON_INTEGER_GRIDS = {
     "grid_open_unit": lambda: grid_open_unit(3.5),
+    "grid_open_unit eps=nan": lambda: grid_open_unit(10, eps=math.nan),
+    "grid_open_unit eps=0.6": lambda: grid_open_unit(10, eps=0.6),
+    "grid_open_unit eps=1e-300": lambda: grid_open_unit(10, eps=1e-300),
     "sweep_monotone": lambda: sweep_monotone("lemma22_1", 1000.0),
     "lemma26_classify": lambda: lemma26_classify(0.5, 1.0, 100.5),
     "search_violation": lambda: search_violation(BoundSpec(Family.THM11, q=0.1), Side.LOWER, 10.5),
@@ -387,6 +405,36 @@ class TestValidatedOnce:
     def test_remarks_suite(self, modulus_count):
         run_remarks_suite(grid_points=2000)
         assert modulus_count[0] <= 2000 + 2500
+
+
+class TestColumnScans:
+    # the scans map bound kernels and row functions over the columns of one
+    # grid table per run_suite call
+    def test_column_map_is_the_scalar_path(self):
+        rs = [1e-300, 1e-8, 0.5, 1 - 1e-12] + grid_open_unit(1000)
+        rcs = [Modulus(r).r_comp for r in rs]
+        for spec in default_candidates() + [spec for _, spec, _ in _falsifier_plan()]:
+            assert list(map(spec._at, rs, rcs)) == [spec.evaluate(r) for r in rs], spec.label
+
+    def test_all_is_the_three_suites(self):
+        assert run_suite("all", grid_points=2000) == (run_lemma_suite(grid_points=2000)
+                                                      + run_sharpness_suite(grid_points=2000)
+                                                      + run_remarks_suite(grid_points=2000))
+
+    def test_all_builds_the_grid_table_once(self, monkeypatch):
+        count = [0]
+        agm_ke = ellipbounds.core._agm_ke
+
+        def counting(r, rc):
+            count[0] += 1
+            return agm_ke(r, rc)
+
+        for module in (ellipbounds.core, ellipbounds.verify):
+            monkeypatch.setattr(module, "_agm_ke", counting)
+        run_suite("all", grid_points=2000)
+        # one run per radius of the 2000-, 256- and 1000-point tables, plus
+        # the bisection and golden-section steps
+        assert 2000 + 256 + 1000 <= count[0] <= 2000 + 2500
 
 
 class TestSuites:
