@@ -104,7 +104,7 @@ def _radii(n: int) -> tuple[array, array]:
 
 def _grid_table(n: int, tables: dict[int, tuple]) -> tuple:
     """The rows of the n-point grid_open_unit grid as columns (r, r', K, E)
-    of doubles, built once per tables dict; zip(*table) iterates the rows."""
+    of doubles, built once per tables dict; scans map over its columns."""
     if n not in tables:
         rs, rcs = _radii(n)
         ks, es = array("d"), array("d")
@@ -817,7 +817,7 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
 
 def _remarks(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
-    rs, rcs = tables[grid_points][:2] if grid_points in tables else _radii(grid_points)
+    rs, rcs = _radii(grid_points)
 
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
     worst41 = max(map(abs, map(sub, map(aq._at, rs, rcs), map(t11._at, rs, rcs))))
