@@ -11,7 +11,10 @@ grid and the 1000-point falsifier grid are one table.  The rest hash stdout,
 stderr and the exit code together: `enclose --families all` at three radii (the middle, a
 tiny r and the largest double below 1), `crossover` on the two remark pairs
 and on a pair without a crossover, `eval` of the perimeter and the Toader
-mean, and `compare` with r = 0 on its grid, which exits 2.
+mean, `compare` with r = 0 on its grid, which exits 2, `verify --suite all`
+at ELLIP_GRID_POINTS=1, which exits 2, `crossover` of a bound with itself,
+which exits 1, and `crossover` of an invalid thm11 spec with vuorinen, whose
+root comes from the float bisection.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -56,6 +59,10 @@ OUTPUTS = [
     ("compare from r=0 (exit 2)", {},
      ["compare", "--start", "0", "--end", "0.5", "--points", "11", "--families", "all",
       "--output", "table.csv"], "streams"),
+    ("verify all, grid 1 (exit 2)", {"ELLIP_GRID_POINTS": "1"}, ["verify", "--suite", "all"],
+     "streams"),
+    *((f"crossover {a} {b}", {}, ["crossover", "--a", a, "--b", b], "streams")
+      for a, b in (("vuorinen", "vuorinen"), ("thm11:q=0.12", "vuorinen"))),
 ]
 
 

@@ -102,14 +102,19 @@ _SYMBOLIC = {
 }
 
 
+def _u_thresholds(p: float) -> tuple[float, float]:
+    # the sharp u-thresholds 1/(4p) < (4/pi)^(1/p) - 1 of lemmas 2.5-2.6, p validated
+    return 1.0 / (4.0 * p), (4.0 / _PI) ** (1.0 / p) - 1.0
+
+
 def thm12_lower_threshold(p: float) -> float:
     """Largest t for which the t-parametrised family is a lower bound."""
-    return 0.5 + math.sqrt(1.0 / (4.0 * _param("p", p))) / 2.0
+    return 0.5 + math.sqrt(_u_thresholds(_param("p", p))[0]) / 2.0
 
 
 def thm12_upper_threshold(p: float) -> float:
     """Smallest t for which the t-parametrised family is an upper bound."""
-    return 0.5 + math.sqrt((4.0 / _PI) ** (1.0 / _param("p", p)) - 1.0) / 2.0
+    return 0.5 + math.sqrt(_u_thresholds(_param("p", p))[1]) / 2.0
 
 
 # (low, high, low end open) per parameter name; u is the lemma 2.6 parameter

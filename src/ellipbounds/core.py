@@ -124,9 +124,8 @@ def agm(a: float, b: float) -> float:
     The result lies in [min(a, b), max(a, b)].  Iteration stops once
     |a_n - b_n| <= 4 eps a_n.
     """
-    x, y = _float(a), _float(b)
-    if not (x > 0.0 and y > 0.0 and math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"agm needs positive finite arguments, got {a!r}, {b!r}")
+    pair = MeanPair(a, b)
+    x, y = pair.a, pair.b
     for _ in range(_AGM_MAX_ITER):
         if abs(x - y) <= 4.0 * _EPS * x:
             break
@@ -154,6 +153,12 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
         pow2 *= 2.0
     k = math.pi / (2.0 * a)
     return k, k * (1.0 - csum)
+
+
+def _row(r: float) -> tuple[float, float, float, float]:
+    # the row (r, r', K, E) of a radius already known to lie in (0, 1)
+    rc = _complement(r)
+    return (r, rc, *_agm_ke(r, rc))
 
 
 def elliptic_ke(m: Modulus | float) -> EllipticValues:
@@ -240,44 +245,38 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
     dE/dr = (E - K)/r, d(E - r'^2 K)/dr = r K, d(K - E)/dr = r E / r'^2
     against central differences with step h.  Each residual is O(h^2).
     """
-    m = as_modulus(m)
+    r = as_modulus(m).r
     h = _float(h)
     if not (0.0 < h <= 1e-3):
         raise DomainError(f"step size must lie in (0, 1e-3], got {h!r}")
-    r = m.r
-    if not (h < r < 1.0 - h):
-        raise DomainError(f"stencil r +/- h must stay inside (0, 1); r={r!r}, h={h!r}")
-
-    m_lo, m_hi = Modulus(r - h), Modulus(r + h)
-    lo, hi = elliptic_ke(m_lo), elliptic_ke(m_hi)
-    ke = elliptic_ke(m)
-    rc2 = m.r_comp * m.r_comp
-
-    def em(mm: Modulus, vv: EllipticValues) -> float:
-        return vv.e_val - mm.r_comp * mm.r_comp * vv.k_val
-
     inv2h = 1.0 / (2.0 * h)
-    dk_num = (hi.k_val - lo.k_val) * inv2h
-    de_num = (hi.e_val - lo.e_val) * inv2h
-    dem_num = (em(m_hi, hi) - em(m_lo, lo)) * inv2h
-    dkme_num = ((hi.k_val - hi.e_val) - (lo.k_val - lo.e_val)) * inv2h
+    # a step below half an ulp of r leaves r +/- h at r, and one below
+    # ~2.8e-309 overflows 1/(2h): the differences would be 0 * inf = nan
+    if not (h < r < 1.0 - h and r - h < r < r + h and inv2h < math.inf):
+        raise DomainError(f"stencil r +/- h must stay inside (0, 1) and move r; r={r!r}, h={h!r}")
+
+    (_, rc_lo, k_lo, e_lo), (_, rc_hi, k_hi, e_hi) = _row(r - h), _row(r + h)
+    _, rc, k, e = _row(r)
+    rc2 = rc * rc
+    dk_num = (k_hi - k_lo) * inv2h
+    de_num = (e_hi - e_lo) * inv2h
+    dem_num = ((e_hi - rc_hi * rc_hi * k_hi) - (e_lo - rc_lo * rc_lo * k_lo)) * inv2h
+    dkme_num = ((k_hi - e_hi) - (k_lo - e_lo)) * inv2h
 
     return DerivativeResiduals(
-        dk=abs(dk_num - (ke.e_val - rc2 * ke.k_val) / (r * rc2)),
-        de=abs(de_num - (ke.e_val - ke.k_val) / r),
-        d_e_minus_rc2k=abs(dem_num - r * ke.k_val),
-        d_k_minus_e=abs(dkme_num - r * ke.e_val / rc2),
+        dk=abs(dk_num - (e - rc2 * k) / (r * rc2)),
+        de=abs(de_num - (e - k) / r),
+        d_e_minus_rc2k=abs(dem_num - r * k),
+        d_k_minus_e=abs(dkme_num - r * e / rc2),
     )
 
 
 def landen_residual(m: Modulus | float) -> float:
     """Residual |E(2 sqrt(r)/(1+r)) - (2E(r) - r'^2 K(r))/(1+r)| of the
     ascending Landen identity; stays below 1e-12 across (0, 1)."""
-    m = _open_modulus(m)
-    r = m.r
-    ke = elliptic_ke(m)
-    rc2 = m.r_comp * m.r_comp
-    rhs = (2.0 * ke.e_val - rc2 * ke.k_val) / (1.0 + r)
+    r, rc, k, e = _row(_open_modulus(m).r)
+    rhs = (2.0 * e - rc * rc * k) / (1.0 + r)
     lifted = 2.0 * math.sqrt(r) / (1.0 + r)
-    lhs = complete_e(Modulus(min(lifted, 1.0)))
+    # near r = 1 the lifted modulus rounds to 1, where E(1) = 1
+    lhs = _row(lifted)[3] if lifted < 1.0 else 1.0
     return abs(lhs - rhs)

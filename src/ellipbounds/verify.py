@@ -36,11 +36,12 @@ from .bounds import (
     Family,
     Side,
     _param,
+    _u_thresholds,
     default_candidates,
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _agm_ke, _complement, _float, _open_modulus, elliptic_ke
+from .core import HALF_PI, Modulus, _HUGE, _agm_ke, _complement, _float, _open_modulus, _row
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -89,12 +90,7 @@ _CUT_R4 = 0.05
 
 # --------------------------------------------------------------------------
 # Grid tables: every series block and auxiliary function below is a pure
-# function of one row (r, r', K, E), from _row (one radius) or _grid_table.
-
-def _row(m: Modulus) -> tuple[float, float, float, float]:
-    ke = elliptic_ke(m)
-    return m.r, m.r_comp, ke.k_val, ke.e_val
-
+# function of one row (r, r', K, E), from core._row (one radius) or _grid_table.
 
 def _radii(n: int) -> tuple[array, array]:
     # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
@@ -239,8 +235,9 @@ def _l27_F(r: float, rc: float, k: float, e: float) -> float:
 
 def _h_exponent(p: float) -> float:
     x = _float(p)
-    if not 0.5 <= x < math.inf:
-        raise DomainError(f"p must lie in [0.5, inf), got {p!r}")
+    # h < 4.21 p on (0, 1), so up to this cap h, 4p and 4p - 1 stay finite
+    if not 0.5 <= x <= _HUGE / 8.0:
+        raise DomainError(f"p must lie in [0.5, {_HUGE / 8.0!r}], got {p!r}")
     return x
 
 
@@ -258,7 +255,7 @@ def _public(fn: str, m: Modulus | float, **params: float) -> float:
     params = sd.check(params)
     if m.r < _LIMIT_R:
         return sd.limits(params)[0]
-    return sd.fn(*_row(m), **params)
+    return sd.fn(*_row(m.r), **params)
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
@@ -290,15 +287,15 @@ class Lemma25Margins:
 
 def lemma25_check(p: float) -> Lemma25Margins:
     p = _param("p", p)
-    mid = (4.0 / _PI) ** (1.0 / p) - 1.0
-    return Lemma25Margins(lower_margin=mid - 1.0 / (4.0 * p),
+    lo, mid = _u_thresholds(p)
+    return Lemma25Margins(lower_margin=mid - lo,
                           upper_margin=1.0 / (4.0 * p - 1.0) - mid)
 
 
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    return _l26_f(*_row(_open_modulus(m)), _param("u", u), _param("p", p))
+    return _l26_f(*_row(_open_modulus(m).r), _param("u", u), _param("p", p))
 
 
 def lemma27_F(m: Modulus | float) -> float:
@@ -350,19 +347,13 @@ class MonotoneReport:
         return abs(self.right_limit - self.claimed_right)
 
 
-def grid_open_unit(n: int, eps: float = _GRID_EPS) -> list[float]:
-    """n uniformly spaced points on (eps, 1 - eps), 0 < eps < 1/2, all of
-    them inside (0, 1)."""
+def grid_open_unit(n: int) -> list[float]:
+    """n uniformly spaced points from 1e-6 to 1 - 1e-6, n >= 2: the radii of
+    every verify grid, all of them inside (0, 1)."""
     if not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
-    x = _float(eps)
-    step = (1.0 - 2.0 * x) / (n - 1)
-    points = [x + i * step for i in range(n)]
-    # a margin below ~1e-16 rounds the last point up to 1
-    if not (0.0 < x < 0.5 and points[-1] < 1.0):
-        raise ConfigurationError(f"grid margin eps must lie in (0, 0.5) and keep 1 - eps "
-                                 f"below 1, got {eps!r}")
-    return points
+    step = (1.0 - 2.0 * _GRID_EPS) / (n - 1)
+    return [_GRID_EPS + i * step for i in range(n)]
 
 
 def _solve3(mat: list[list[float]], rhs: list[float]) -> list[float]:
@@ -451,7 +442,7 @@ def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneRep
     if fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
-    if grid < 1000:
+    if not _float(grid) >= 1000:
         raise ConfigurationError(f"sweep grid must have at least 1000 points, got {grid!r}")
     params = dict(params or {})
     if set(params) != set(sd.params):
@@ -514,9 +505,10 @@ class SignCaseReport:
 def lemma26_expected_case(u: float, p: float) -> SignCase:
     """Which case the sharpness thresholds predict for (u, p)."""
     u, p = _param("u", u), _param("p", p)
-    if u <= 1.0 / (4.0 * p):
+    u1, u2 = _u_thresholds(p)
+    if u <= u1:
         return SignCase.ALL_NEGATIVE
-    if u >= (4.0 / _PI) ** (1.0 / p) - 1.0:
+    if u >= u2:
         return SignCase.ALL_POSITIVE
     return SignCase.POSITIVE_THEN_NEGATIVE
 
@@ -534,12 +526,12 @@ def _classify_sign_pattern(signs: list[int]) -> SignCase:
                             f"starting {'positive' if signs[0] > 0 else 'negative'}")
 
 
-def _bisect(keeps_lo: Callable[[Modulus], bool], lo: float, hi: float, width: float) -> float:
+def _bisect(keeps_lo: Callable[[float, float], bool], lo: float, hi: float, width: float) -> float:
     # halve [lo, hi] until at most width wide, moving lo to each midpoint
-    # whose modulus keeps_lo holds for and hi to the others; the final midpoint
+    # whose (r, r') keeps_lo holds for and hi to the others; the final midpoint
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if keeps_lo(Modulus(mid)):
+        if keeps_lo(mid, _complement(mid)):
             lo = mid
         else:
             hi = mid
@@ -548,7 +540,7 @@ def _bisect(keeps_lo: Callable[[Modulus], bool], lo: float, hi: float, width: fl
 
 def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
     # lemma26_classify, on the grid's table in tables
-    if grid < 100:
+    if not _float(grid) >= 100:
         raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
     uf, pf = _param("u", u), _param("p", p)
     table = _grid_table(grid, tables)
@@ -561,7 +553,7 @@ def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
     if case is SignCase.POSITIVE_THEN_NEGATIVE:
         pos = max(r for r, f in keep if f > 0)
         neg = min(r for r, f in keep if f < 0 and r > pos)
-        eta = _bisect(lambda m: _l26_f(*_row(m), uf, pf) > 0.0, pos, neg, 1e-10)
+        eta = _bisect(lambda r, rc: _l26_f(r, rc, *_agm_ke(r, rc), uf, pf) > 0.0, pos, neg, 1e-10)
     return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
 
 
@@ -579,8 +571,7 @@ def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
     boundaries included."""
     out = []
     for p in (0.5, 0.75, 1.0, 1.5, 2.0):
-        u1 = 1.0 / (4.0 * p)
-        u2 = (4.0 / _PI) ** (1.0 / p) - 1.0
+        u1, u2 = _u_thresholds(p)
         u3 = min(1.0, 1.0 / (4.0 * p - 1.0))
         us = [u1 * s for s in (0.05, 0.25, 0.5, 0.75, 0.9, 1.0)]
         us += [u1 + (u2 - u1) * s for s in (0.15, 0.35, 0.5, 0.65, 0.85)]
@@ -619,7 +610,7 @@ _SOLID = 1e-12
 
 
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
-    r, rc, _, e = _row(Modulus(r))
+    r, rc, _, e = _row(r)
     return a if abs(e - a._at(r, rc)) <= abs(e - b._at(r, rc)) else b
 
 
@@ -640,8 +631,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
         return NoCrossover(bound_a=a, bound_b=b, dominant=_closer_to_e(a, b, 0.5))
 
     lo, hi, lo_positive = flips[-1]
-    r_cross = _bisect(lambda m: (a._at(m.r, m.r_comp) > b._at(m.r, m.r_comp)) == lo_positive,
-                      lo, hi, 1e-12)
+    r_cross = _bisect(lambda r, rc: (a._at(r, rc) > b._at(r, rc)) == lo_positive, lo, hi, 1e-12)
     return CrossoverResult(
         delta=1.0 - r_cross,
         r_cross=r_cross,
@@ -683,7 +673,7 @@ def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float
     _, i = max(zip(_violations(spec, side, *table), range(len(rs))), key=itemgetter(0))
     lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
     # the refinement evaluates one-row tables: zip(row) gives its columns
-    return _golden_max(lambda r: next(_violations(spec, side, *zip(_row(Modulus(r))))), lo, hi)
+    return _golden_max(lambda r: next(_violations(spec, side, *zip(_row(r)))), lo, hi)
 
 
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:

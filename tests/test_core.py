@@ -270,6 +270,32 @@ class TestDerivativeResiduals:
         with pytest.raises(DomainError):
             derivative_residuals(0.5, h=0.01)
 
+    @pytest.mark.parametrize("r,h", [(0.5, 5e-324), (0.5, 2.0**-55), (1e-300, 1e-310)])
+    def test_stencil_must_resolve(self, r, h):
+        # r +/- h rounds to r, which gave residuals equal to the closed-form
+        # derivatives, or 1/(2h) overflows, which gave four nan residuals
+        with pytest.raises(DomainError, match="move r"):
+            derivative_residuals(r, h=h)
+
+
+# computed before the residual checks read their rows from core._row, and
+# frozen bit for bit: (r, (dk, de, d_e_minus_rc2k, d_k_minus_e), landen)
+RESIDUALS_AT = [
+    (0.01, (3.6763144611873244e-12, 2.7977637567788705e-12, 1.758833009790628e-11,
+            8.76156786011606e-13), 0.0),
+    (0.5, (1.2223511092201989e-10, 1.6715462347605126e-11, 5.843214800904661e-11,
+           1.3895096184768363e-10), 4.440892098500626e-16),
+    (0.99, (1.6625252364121934e-05, 8.292067699144923e-08, 8.372665538658453e-08,
+            1.670816194376812e-05), 2.220446049250313e-16),
+]
+
+
+@pytest.mark.parametrize("r,derivs,landen", RESIDUALS_AT)
+def test_residuals_frozen(r, derivs, landen):
+    res = derivative_residuals(r)
+    assert (res.dk, res.de, res.d_e_minus_rc2k, res.d_k_minus_e) == derivs
+    assert landen_residual(r) == landen
+
 
 class TestLandenResidual:
     @pytest.mark.parametrize("r", [0.25, 0.81])
@@ -283,6 +309,12 @@ class TestLandenResidual:
         for i in range(2000):
             r = 1e-6 + i * (1 - 2e-6) / 1999
             assert landen_residual(r) < 1e-12
+
+    @pytest.mark.parametrize("r,frozen", [(1 - 1e-9, 8.881784197001252e-16),
+                                          (1 - 2.0**-53, 2.220446049250313e-15)])
+    def test_near_one(self, r, frozen):
+        # at 1 - 1e-9 the lifted modulus 2 sqrt(r)/(1+r) rounds to 1, where E = 1
+        assert landen_residual(r) == frozen
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -33,7 +33,7 @@ from ellipbounds import (
     search_violation,
     sweep_monotone,
 )
-from ellipbounds.core import elliptic_ke
+from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
     _SWEEPS,
     _classify_sign_pattern,
@@ -43,7 +43,6 @@ from ellipbounds.verify import (
     _falsifier_plan,
     _grid_table,
     _kme,
-    _row,
     _solve3,
     _wmh,
     grid_open_unit,
@@ -77,8 +76,8 @@ def test_table_path_matches_public_path(fn, params):
     # a sweep reads grid-table rows, which hold _row of their radius exactly;
     # the public function evaluates a one-row table of its own
     table = _grid_table(7, {})
-    assert list(zip(*table)) == [_row(Modulus(r)) for r in table[0]]
-    swept = [_SWEEPS[fn].fn(*_row(Modulus(r)), **params) for r in AGREEMENT_RADII]
+    assert list(zip(*table)) == [_row(r) for r in table[0]]
+    swept = [_SWEEPS[fn].fn(*_row(r), **params) for r in AGREEMENT_RADII]
     assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
 
 
@@ -356,13 +355,71 @@ class TestSearchViolation:
             search_violation(BoundSpec(Family.THM11, q=0.13), Side.INVALID)
 
 
-# each call with a grid size that is not an integer, or a grid margin that
-# gave nan radii, a decreasing grid or a last point of 1
+# the refinement steps (lemma 2.6 bisection, golden-section search, crossover
+# bisection), computed before they evaluated (r, r', K, E) from floats instead
+# of a Modulus per point, and frozen bit for bit.  Eta per mixed-case (u, p)
+# of lemma26_case_sample, in sample order:
+FROZEN_ETAS = [
+    0.4330763187479982,
+    0.6465508610425306,
+    0.7589133799682091,
+    0.8489126625457573,
+    0.9442273967146677,
+    0.4408267452284111,
+    0.6560093461291596,
+    0.7678505503171291,
+    0.8562189584091777,
+    0.9479214314225342,
+    0.459293153164189,
+    0.6755627313526296,
+    0.7844870916045006,
+    0.8684469844888771,
+    0.953220928109554,
+    0.5329375648727863,
+    0.738238555464388,
+    0.8314220746582781,
+    0.8993351633653215,
+    0.964916385123709,
+    0.6858390787680972,
+    0.8254379645395487,
+    0.887138833745166,
+    0.9321321587073046,
+    0.9760297233042936,
+]
+# (r, violation) per _falsifier_plan spec, in plan order
+FROZEN_FALSIFIERS = [
+    (0.9999989999999999, 0.0007701862499089884),
+    (0.5608925939120178, 9.197076326961096e-06),
+    (0.6203037275939559, 1.4885651266727251e-05),
+    (0.999999, 0.0006444782252130743),
+    (0.793944147664649, 7.965461999637213e-05),
+    (0.999999, 0.0014375918927294062),
+    (0.9771986815190301, 0.0008620187919861078),
+    (0.999999, 0.002397458344255088),
+]
+# r_cross of the remark 4.3 and 4.4 pairs
+FROZEN_R_CROSS = [0.9863771870134213, 0.9943331613110944]
+
+
+class TestRefinementsFrozen:
+    def test_lemma26_eta(self):
+        mixed = [(u, p) for u, p, case in lemma26_case_sample()
+                 if case is SignCase.POSITIVE_THEN_NEGATIVE]
+        assert [lemma26_classify(u, p).eta for u, p in mixed] == FROZEN_ETAS
+
+    def test_falsifier_search(self):
+        found = [search_violation(spec, side) for _, spec, side in _falsifier_plan()]
+        assert found == FROZEN_FALSIFIERS
+
+    def test_crossover_radii(self):
+        pairs = [(BoundSpec(Family.COR31_UPPER), BoundSpec(Family.ALZER_QIU)),
+                 (BoundSpec(Family.THM11, q=BETA_STAR), BoundSpec(Family.VUORINEN))]
+        assert [find_crossover(a, b).r_cross for a, b in pairs] == FROZEN_R_CROSS
+
+
+# each call with a grid size that is not an integer
 NON_INTEGER_GRIDS = {
     "grid_open_unit": lambda: grid_open_unit(3.5),
-    "grid_open_unit eps=nan": lambda: grid_open_unit(10, eps=math.nan),
-    "grid_open_unit eps=0.6": lambda: grid_open_unit(10, eps=0.6),
-    "grid_open_unit eps=1e-300": lambda: grid_open_unit(10, eps=1e-300),
     "sweep_monotone": lambda: sweep_monotone("lemma22_1", 1000.0),
     "lemma26_classify": lambda: lemma26_classify(0.5, 1.0, 100.5),
     "search_violation": lambda: search_violation(BoundSpec(Family.THM11, q=0.1), Side.LOWER, 10.5),
@@ -405,6 +462,12 @@ class TestValidatedOnce:
     def test_remarks_suite(self, modulus_count):
         run_remarks_suite(grid_points=2000)
         assert modulus_count[0] <= 2000 + 2500
+
+    def test_all_suites_build_no_modulus(self, modulus_count):
+        # every radius of a suite run is made by the package inside (0, 1):
+        # grid points, bisection midpoints and golden-section probes
+        run_suite("all", grid_points=2000)
+        assert modulus_count[0] == 0
 
 
 class TestColumnScans:
