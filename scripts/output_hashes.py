@@ -14,7 +14,9 @@ and on a pair without a crossover, `eval` of the perimeter and the Toader
 mean, `compare` with r = 0 on its grid, which exits 2, `verify --suite all`
 at ELLIP_GRID_POINTS=1, which exits 2, `crossover` of a bound with itself,
 which exits 1, and `crossover` of an invalid thm11 spec with vuorinen, whose
-root comes from the float bisection.
+root comes from the float bisection.  The last two are uniform `compare` CSVs
+over the same family list at 2 points and at 513, which `compare` writes as
+two full 256-row chunks and one row.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -63,6 +65,9 @@ OUTPUTS = [
      "streams"),
     *((f"crossover {a} {b}", {}, ["crossover", "--a", a, "--b", b], "streams")
       for a, b in (("vuorinen", "vuorinen"), ("thm11:q=0.12", "vuorinen"))),
+    *((f"compare uniform {n}", {},
+       ["compare", "--start", "1e-6", "--end", "0.999999", "--points", n,
+        "--families", *FAMILIES, "--output", "table.csv"], "csv") for n in ("2", "513")),
 ]
 
 

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, _float, _open_modulus
+from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _float, _open_modulus
 from .errors import ConfigurationError, DomainError, InvalidBoundError
 
 __all__ = [
@@ -367,27 +367,38 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
     """Tightest enclosure over the candidate specs: max of the lower bounds,
     min of the upper bounds, with the winning spec recorded per side."""
     m = _open_modulus(m)
+    lows, ups = _split(candidates)
+    values = [spec._at(m.r, m.r_comp) for spec in candidates]
+    # the first maximum (minimum) in candidate order, among that side only
+    lo, hi = max(lows, key=values.__getitem__), min(ups, key=values.__getitem__)
+    return Enclosure(values[lo], values[hi], candidates[lo], candidates[hi], tuple(values))
+
+
+def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:
+    # the indices of the lower and of the upper candidates, or the first
+    # reason the list gives no enclosure
     if not candidates:
         raise ConfigurationError("no candidate bounds given")
-    values: list[float] = []
-    lowers: list[tuple[float, BoundSpec]] = []
-    uppers: list[tuple[float, BoundSpec]] = []
     for spec in candidates:
-        side = spec.side
-        if side is Side.INVALID:
-            raise InvalidBoundError(
-                f"{spec.label} lies on neither valid side of its sharp constants: "
-                + _sharpness_hint(spec)
-            )
-        values.append(spec._at(m.r, m.r_comp))
-        (lowers if side is Side.LOWER else uppers).append((values[-1], spec))
-    if not lowers:
-        raise ConfigurationError("candidate list has no lower bound")
-    if not uppers:
-        raise ConfigurationError("candidate list has no upper bound")
-    lo, lo_spec = max(lowers, key=lambda pair: pair[0])
-    hi, hi_spec = min(uppers, key=lambda pair: pair[0])
-    return Enclosure(lo=lo, hi=hi, lo_source=lo_spec, hi_source=hi_spec, values=tuple(values))
+        if spec._side is Side.INVALID:
+            raise InvalidBoundError(f"{spec.label} lies on neither valid side of its sharp "
+                                    "constants: " + _sharpness_hint(spec))
+    split = tuple([i for i, spec in enumerate(candidates) if spec._side is side]
+                  for side in (Side.LOWER, Side.UPPER))
+    for idx, side in zip(split, ("lower", "upper")):
+        if not idx:
+            raise ConfigurationError(f"candidate list has no {side} bound")
+    return split
+
+
+def _columns(rs: list[float], candidates: list[BoundSpec], split: tuple[list[int], ...]) -> list:
+    # best_enclosure's rows as columns r, E, each candidate's value, lo and hi,
+    # for radii already known to lie in (0, 1) and split = _split(candidates)
+    rcs = list(map(_complement, rs))
+    cols = [list(map(spec._at, rs, rcs)) for spec in candidates]
+    # the first column repeated keeps max and min at two arguments or more
+    lows, ups = ([cols[i] for i in (*idx, idx[0])] for idx in split)
+    return [rs, [e for _, e in map(_agm_ke, rs, rcs)], *cols, list(map(max, *lows)), list(map(min, *ups))]
 
 
 _A_BOUND = {Side.LOWER: "a lower bound", Side.UPPER: "an upper bound"}

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .bounds import BoundSpec, best_enclosure, default_candidates, parse_bound_spec
-from .core import Modulus, complete_e, complete_k, ellipse_perimeter, toader_mean
+from .bounds import BoundSpec, _columns, _split, best_enclosure, default_candidates, parse_bound_spec
+from .core import _float, _open_modulus, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -37,6 +38,8 @@ EXIT_INTERNAL = 3
 EXIT_IO = 4
 
 _DEFAULT_GRID = 10_000
+# compare rows per block of columns: bounds the table's memory at any grid size
+_CHUNK = 256
 _GRID_ENV = "ELLIP_GRID_POINTS"
 
 
@@ -56,9 +59,12 @@ class GridSpec:
     spacing: Spacing = Spacing.UNIFORM
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.start < self.end <= 1.0):
+        start, end = _float(self.start), _float(self.end)
+        if not (0.0 <= start < end <= 1.0):
             raise DomainError(f"need 0 <= start < end <= 1, got [{self.start!r}, {self.end!r}]")
-        if self.points < 2:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        if not isinstance(self.points, numbers.Integral) or self.points < 2:
             raise DomainError(f"grid needs at least 2 points, got {self.points!r}")
         if self.spacing is Spacing.LOG_NEAR_ONE and self.end >= 1.0:
             raise DomainError("log-near-one spacing needs end < 1")
@@ -154,18 +160,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     specs = _parse_families(args.families)
     header = ["r", "e_ref"] + [s.label for s in specs] + ["best_lo", "best_hi"]
     rs = grid.values()
-    # only the end radii can leave (0, 1): check them and the candidates
-    # before the file is opened, so a usage error leaves it untouched
-    for r in (rs[0], rs[-1]):
-        best_enclosure(r, specs)
+    # check every radius and the candidates (first row first, as best_enclosure
+    # would) before the file is opened, so a usage error leaves it untouched
+    _open_modulus(rs[0])
+    split = _split(specs)
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            _open_modulus(r)
     try:
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for m in map(Modulus, rs):
-                enc = best_enclosure(m, specs)
-                row = [m.r, complete_e(m), *enc.values, enc.lo, enc.hi]
-                writer.writerow([f"{v:.17g}" for v in row])
+            for i in range(0, len(rs), _CHUNK):
+                cols = _columns(rs[i:i + _CHUNK], specs, split)
+                writer.writerows(zip(*(map("{:.17g}".format, col) for col in cols)))
     except OSError as exc:
         _err(f"cannot write {args.output!r}: {exc}")
         return EXIT_IO

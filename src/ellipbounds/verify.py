@@ -392,7 +392,11 @@ def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[
         basis = [(v, v * math.log(v)) for v in (w ** 0.375 for w in ws)]
     else:
         raise ConfigurationError(f"unknown extrapolation model {model!r}")
-    return _solve3([[1.0, *phi] for phi in basis], fs)[0]
+    # the fit is linear in fs: past 2^500 (h at p near 2^1020) scale them by
+    # a power of two, so that the elimination cannot overflow to inf - inf
+    top = max(map(abs, fs))
+    k = math.frexp(top)[1] if top > 2.0**500 else 0
+    return math.ldexp(_solve3([[1.0, *phi] for phi in basis], [math.ldexp(f, -k) for f in fs])[0], k)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
+from ellipbounds.bounds import _columns, _split
+from ellipbounds.cli import GridSpec, Spacing
 
 HALF_PI = math.pi / 2.0
 
@@ -414,6 +416,16 @@ class TestBestEnclosure:
         assert bare == enc
         assert repr(bare) == repr(enc)
 
+    def test_tie_goes_to_first_spec_of_its_side(self):
+        # at r = 1e-300 every bound is pi/2; an upper spec listed first with
+        # the same value must not become the lower source
+        cands = [BoundSpec(Family.BARNARD), BoundSpec(Family.VUORINEN),
+                 BoundSpec(Family.ALZER_QIU), BoundSpec(Family.COR31_LOWER)]
+        enc = best_enclosure(1e-300, cands)
+        assert set(enc.values) == {HALF_PI}
+        assert enc.lo_source is cands[1]
+        assert enc.hi_source is cands[0]
+
     def test_errors(self):
         with pytest.raises(ConfigurationError):
             best_enclosure(0.5, [])
@@ -473,3 +485,31 @@ class TestParseBoundSpec:
         for spec in default_candidates():
             again = parse_bound_spec(spec.label)
             assert again == spec
+
+
+COLUMN_SPECS = default_candidates() + [parse_bound_spec("thm11:q=0.05"),
+                                       parse_bound_spec("thm12:t=0.95,p=1.5")]
+
+
+class TestColumns:
+    # _columns is the combiner behind compare: its rows must be best_enclosure's
+    @pytest.mark.parametrize("spacing", list(Spacing))
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 20_000])
+    def test_rows_are_best_enclosure(self, n, spacing):
+        rs = GridSpec(1e-4, 0.9999999, n, spacing).values()
+        r_col, e_col, *value_cols, lo_col, hi_col = _columns(rs, COLUMN_SPECS, _split(COLUMN_SPECS))
+        assert r_col == rs
+        for i, r in enumerate(rs):
+            enc = best_enclosure(r, COLUMN_SPECS)
+            assert e_col[i] == complete_e(r)
+            assert tuple(col[i] for col in value_cols) == enc.values
+            assert (lo_col[i], hi_col[i]) == (enc.lo, enc.hi)
+            assert value_cols[COLUMN_SPECS.index(enc.lo_source)][i] == lo_col[i]
+            assert value_cols[COLUMN_SPECS.index(enc.hi_source)][i] == hi_col[i]
+
+    def test_one_spec_per_side(self):
+        cands = [BoundSpec(Family.VUORINEN), BoundSpec(Family.BARNARD)]
+        rs = grid(7)
+        *_, lo_col, hi_col = _columns(rs, cands, _split(cands))
+        assert lo_col == list(map(vuorinen_lower, rs))
+        assert hi_col == list(map(barnard_upper, rs))

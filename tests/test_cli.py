@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -8,11 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from ellipbounds import best_enclosure, complete_e, default_candidates, toader_mean
-from ellipbounds.cli import main
+from ellipbounds import (
+    EllipBoundsError,
+    best_enclosure,
+    complete_e,
+    default_candidates,
+    parse_bound_spec,
+    toader_mean,
+)
+from ellipbounds.cli import _cmd_compare, main
 from oracles import quad_e
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# two parametric specs parsed from text, next to --families all
+EXTRA_SPECS = ["thm11:q=0.05", "thm12:t=0.95,p=1.5"]
 
 # first computation, frozen as regression value
 ENCLOSE_WIDTH_0P999 = 0.0039102788995069027
@@ -226,18 +237,59 @@ class TestCompare:
         assert "open interval" in err
         assert out_path.read_text() == "earlier contents\n"
 
-    def test_rows_are_streamed(self, tmp_path, capsys):
-        # a table held in memory peaks above 10 MB at this size
+    def _peak(self, tmp_path, capsys, families):
         tracemalloc.start()
         try:
             code, _, _ = run(capsys, ["compare", "--start", "1e-6", "--end", "0.999999",
-                                      "--points", "20000", "--families", "vuorinen", "barnard",
+                                      "--points", "20000", "--families", *families,
                                       "--output", str(tmp_path / "table.csv")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2_000_000
+        return peak
+
+    def test_rows_are_streamed(self, tmp_path, capsys):
+        # a table held in memory peaks above 10 MB at this size
+        assert self._peak(tmp_path, capsys, ["vuorinen", "barnard"]) < 2_000_000
+
+    def test_rows_are_streamed_all_families(self, tmp_path, capsys):
+        # 19 columns, written a fixed chunk of rows at a time
+        assert self._peak(tmp_path, capsys, ["all", *EXTRA_SPECS]) < 2_000_000
+
+    @pytest.mark.parametrize("points", [2, 255, 256, 257, 513])
+    def test_rows_across_chunks_are_best_enclosure(self, tmp_path, capsys, points):
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, ["compare", "--start", "1e-6", "--end", "0.999999",
+                                  "--points", str(points), "--families", "all", *EXTRA_SPECS,
+                                  "--output", str(out_path)])
+        assert code == 0
+        specs = default_candidates() + [parse_bound_spec(s) for s in EXTRA_SPECS]
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == points
+        for row in rows:
+            r = float(row.split(",")[0])
+            enc = best_enclosure(r, specs)
+            assert row == ",".join(f"{v:.17g}" for v in (r, complete_e(r), *enc.values, enc.lo, enc.hi))
+
+    @pytest.mark.parametrize("start,families", [
+        ("0", ["all"]),
+        ("0.1", []),
+        ("0.1", ["thm11:q=0.13", "barnard"]),
+        ("0.1", ["vuorinen", "cor31-lower"]),
+        ("0.1", ["barnard", "alzer-qiu"]),
+    ], ids=["radius", "empty", "invalid", "lowers-only", "uppers-only"])
+    def test_errors_are_best_enclosures(self, tmp_path, start, families):
+        args = argparse.Namespace(start=float(start), end=0.9, points=5, spacing="uniform",
+                                  families=families, output=str(tmp_path / "x.csv"))
+        with pytest.raises(EllipBoundsError) as cmp_exc:
+            _cmd_compare(args)
+        with pytest.raises(EllipBoundsError) as enc_exc:
+            best_enclosure(float(start), [parse_bound_spec(f) for f in families if f != "all"]
+                           + (default_candidates() if "all" in families else []))
+        assert type(cmp_exc.value) is type(enc_exc.value)
+        assert str(cmp_exc.value) == str(enc_exc.value)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_grid(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["compare", "--start", "0.9", "--end", "0.1",

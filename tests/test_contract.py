@@ -90,6 +90,8 @@ CALLS = {
     "lemma26_classify u": lambda x: eb.lemma26_classify(x, 1.0, 100),
     "lemma26_classify p": lambda x: eb.lemma26_classify(0.3, x, 100),
     "sweep_monotone p": lambda x: eb.sweep_monotone("lemma24_h", 1000, {"p": x}),
+    "GridSpec start": lambda x: GridSpec(x, 0.5, 11).values(),
+    "GridSpec end": lambda x: GridSpec(0.1, x, 11).values(),
 }
 GRID_CALLS = {
     "grid_open_unit": grid_open_unit,
@@ -101,6 +103,7 @@ GRID_CALLS = {
     "run_sharpness_suite": run_sharpness_suite,
     "run_remarks_suite": run_remarks_suite,
     "run_suite all": lambda n: eb.run_suite("all", n),
+    "GridSpec points": lambda n: GridSpec(0.1, 0.5, n).values(),
 }
 
 
@@ -149,6 +152,13 @@ def test_hostile_value(name, x):
 @pytest.mark.parametrize("name", GRID_CALLS)
 def test_hostile_grid(name, n):
     outcome(lambda: GRID_CALLS[name](n))
+
+
+@pytest.mark.parametrize("bad", [{"points": 2.5}, {"points": None}, {"points": True},
+                                 {"start": "a"}, {"end": None}], ids=repr)
+def test_grid_spec_raises_domain_error(bad):
+    with pytest.raises(eb.DomainError):
+        GridSpec(**{"start": 0.1, "end": 0.5, "points": 11, **bad})
 
 
 @given(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=3)))

@@ -161,6 +161,13 @@ class TestLemma24:
         rep = sweep_monotone("lemma24_h", grid=2000, params={"p": 2.5})
         assert rep.worst_violation > 0.0
 
+    @pytest.mark.parametrize("grid", [1000, 10_000])
+    def test_right_limit_at_huge_p(self, grid):
+        # h ~ 4p ~ 2^1022: the endpoint fit must not overflow to inf - inf
+        rep = sweep_monotone("lemma24_h", grid=grid, params={"p": 2.0**1020})
+        assert math.isfinite(rep.right_limit)
+        assert rep.right_error <= _SWEEPS["lemma24_h"].tol * rep.claimed_right
+
     def test_p_domain(self):
         with pytest.raises(DomainError):
             lemma24_h(0.5, 0.3)
