@@ -16,7 +16,8 @@ at ELLIP_GRID_POINTS=1, which exits 2, `crossover` of a bound with itself,
 which exits 1, and `crossover` of an invalid thm11 spec with vuorinen, whose
 root comes from the float bisection.  The last two are uniform `compare` CSVs
 over the same family list at 2 points and at 513, which `compare` writes as
-two full 256-row chunks and one row.
+two full 256-row chunks and one row, and at 257 points from the smallest
+subnormal to the largest double below 1.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -68,6 +69,9 @@ OUTPUTS = [
     *((f"compare uniform {n}", {},
        ["compare", "--start", "1e-6", "--end", "0.999999", "--points", n,
         "--families", *FAMILIES, "--output", "table.csv"], "csv") for n in ("2", "513")),
+    ("compare extreme radii 257", {},
+     ["compare", "--start", "5e-324", "--end", repr(1.0 - 2.0**-53), "--points", "257",
+      "--families", *FAMILIES, "--output", "table.csv"], "csv"),
 ]
 
 

@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_QUARTER_PI = _PI / 4.0
 
 BETA_STAR = 0.5 - 2.0 * math.sqrt(2.0 * (_PI * _PI - 8.0)) / (_PI * _PI)
 ALPHA_STAR = 0.5 - math.sqrt(2.0) / 4.0
@@ -133,8 +134,8 @@ def _param(name: str, value: float) -> float:
     return x
 
 
-# Kernels: one flop sequence per distinct closed form, on (*args, r, r') with
-# r in (0, 1) validated.  Only BoundSpec._at, a kernel with its args bound, calls them.
+# Kernels: one flop sequence per distinct closed form, on (*args, r, r') with r in
+# (0, 1) validated; BoundSpec._at binds _DERIVED's r-free args, rounded as in the closed form.
 
 def _vuorinen(r: float, rc: float) -> float:
     return HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)
@@ -142,18 +143,22 @@ def _vuorinen(r: float, rc: float) -> float:
 
 def _alzer_qiu(r: float, rc: float) -> float:
     r2 = r * r
-    return _PI / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
+    return _QUARTER_PI * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
 
 
-def _thm11(q: float, r: float, rc: float) -> float:
+def _thm11(q: float, q1: float, r: float, rc: float) -> float:
     rc2 = rc * rc
-    return _PI / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
+    return _QUARTER_PI * (math.sqrt(q + q1 * rc2) + math.sqrt(q1 + q * rc2))
 
 
-def _thm12(t: float, p: float, r: float, rc: float) -> float:
-    x = t + (1.0 - t) * rc
-    y = (1.0 - t) + t * rc
-    return 2.0 ** (p - 2.0) * _PI * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
+def _thm12(t: float, t1: float, c: float, e: float, p: float, r: float, rc: float) -> float:
+    x = t + t1 * rc
+    y = t1 + t * rc
+    return c * (1.0 + rc) ** e * (x * x + y * y) ** p
+
+
+_DERIVED = {_thm11: lambda q: (q, 1.0 - q),
+            _thm12: lambda t, p: (t, 1.0 - t, 2.0 ** (p - 2.0) * _PI, 1.0 - 2.0 * p, p)}
 
 
 def vuorinen_lower(m: Modulus | float) -> float:
@@ -210,8 +215,8 @@ class Family(Enum):
 
 
 class _Row(NamedTuple):
-    """One family: ``kernel(*args, r, r')`` with args the spec's ``params`` or
-    else ``fixed``; a fixed ``side``, or else the first parameter classifies
+    """One family: ``kernel(*args, r, r')`` with args ``_DERIVED`` of the spec's
+    ``params`` or else ``fixed``; a fixed ``side``, or else the first parameter classifies
     against ``thresholds(*other params)``, listed as defaults at ``sharp_at``."""
 
     kernel: Callable[..., float]
@@ -275,7 +280,8 @@ class BoundSpec:
         if side is None:
             lo, hi = row.thresholds(*args[1:])
             side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
-        object.__setattr__(self, "_at", partial(row.kernel, *args))
+        derive = _DERIVED.get(row.kernel)
+        object.__setattr__(self, "_at", partial(row.kernel, *(derive(*args) if derive else args)))
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_side", side)
 

@@ -167,13 +167,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for r in rs:
         if not 0.0 < r < 1.0:
             _open_modulus(r)
+    # labels may hold commas; no %.17g float (nan, inf too) needs quoting
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     try:
         with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            csv.writer(fh, lineterminator="\n").writerow(header)
             for i in range(0, len(rs), _CHUNK):
                 cols = _columns(rs[i:i + _CHUNK], specs, split)
-                writer.writerows(zip(*(map("{:.17g}".format, col) for col in cols)))
+                fh.write("".join(map(row_fmt.__mod__, zip(*cols))))
     except OSError as exc:
         _err(f"cannot write {args.output!r}: {exc}")
         return EXIT_IO

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from bisect import bisect_left
-from functools import reduce
-from itertools import repeat
-from operator import itemgetter, sub
+from itertools import chain, repeat
+from operator import sub
 from typing import Callable, Iterator, Sequence
 
 from .bounds import (
@@ -457,7 +456,7 @@ def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneRep
     fs = list(map(sd.fn, *table, *map(repeat, params.values())))
     # movement against the claimed direction between consecutive grid points
     moves = map(sub, fs, fs[1:]) if sd.direction is Direction.INCREASING else map(sub, fs[1:], fs)
-    worst = max(0.0, reduce(max, moves, 0.0) - _MONOTONE_TOL)
+    worst = max(0.0, max(chain((0.0,), moves)) - _MONOTONE_TOL)
 
     left = _extrapolate("r2", rs[:3], ks[:3], fs[:3])
     claimed_left, claimed_right = sd.limits(params)
@@ -674,7 +673,8 @@ def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float
     if side not in (Side.LOWER, Side.UPPER):
         raise ConfigurationError("claimed side must be LOWER or UPPER")
     rs, *_ = table = _grid_table(scan, tables)
-    _, i = max(zip(_violations(spec, side, *table), range(len(rs))), key=itemgetter(0))
+    vs = list(_violations(spec, side, *table))
+    i = vs.index(max(vs))
     lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
     # the refinement evaluates one-row tables: zip(row) gives its columns
     return _golden_max(lambda r: next(_violations(spec, side, *zip(_row(r)))), lo, hi)
@@ -785,11 +785,12 @@ def _sharpness(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
     for spec in default_candidates():
         side = spec.side
-        worst, at = max(zip(_violations(spec, side, *valid), valid[0]), key=itemgetter(0))
+        vs = list(_violations(spec, side, *valid))
+        worst = max(vs)
         out.append(CheckResult(
             name=f"valid {side.value} bound: {spec.label}",
             passed=worst <= _VALIDITY_SLACK,
-            detail=f"max signed violation {_fmt(worst)} at r={_fmt(at)} "
+            detail=f"max signed violation {_fmt(worst)} at r={_fmt(valid[0][vs.index(worst)])} "
                    f"(slack {_fmt(_VALIDITY_SLACK)}, grid={grid_points})",
         ))
     for name, spec, side in _falsifier_plan():

@@ -359,6 +359,33 @@ class TestBoundSpecValueType:
             assert twin.evaluate(0.3) == spec.evaluate(0.3)
 
 
+def _closed_form(spec: BoundSpec, r: float, rc: float) -> float:
+    # each family's closed form, written out with every factor computed per call
+    pi = math.pi
+    if spec.family is Family.VUORINEN:
+        return pi / 2.0 * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)
+    if spec.family is Family.ALZER_QIU:
+        r2 = r * r
+        return pi / 4.0 * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
+    if spec.family in (Family.BARNARD, Family.THM11):
+        q = 0.5 if spec.family is Family.BARNARD else spec.q
+        rc2 = rc * rc
+        return pi / 4.0 * (math.sqrt(q + (1.0 - q) * rc2) + math.sqrt((1.0 - q) + q * rc2))
+    t, p = {Family.COR31_LOWER: (LAMBDA_STAR, 2.0),
+            Family.COR31_UPPER: (MU_STAR, 0.5)}.get(spec.family, (spec.t, spec.p))
+    x = t + (1.0 - t) * rc
+    y = (1.0 - t) + t * rc
+    return 2.0 ** (p - 2.0) * pi * (1.0 + rc) ** (1.0 - 2.0 * p) * (x * x + y * y) ** p
+
+
+@pytest.mark.parametrize("spec", VALUE_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("r", [1e-300, 1e-8, 0.5, 1.0 - 2.0**-53])
+def test_bound_kernel_is_the_closed_form_bit_for_bit(spec, r):
+    # the r-free factors bound once per spec round exactly as the closed form's
+    rc = math.sqrt((1.0 - r) * (1.0 + r))
+    assert spec._at(r, rc).hex() == _closed_form(spec, r, rc).hex()
+
+
 class TestBestEnclosure:
     def test_singleton_per_side(self):
         enc = best_enclosure(0.5, [BoundSpec(Family.VUORINEN), BoundSpec(Family.BARNARD)])

@@ -17,7 +17,7 @@ from ellipbounds import (
     parse_bound_spec,
     toader_mean,
 )
-from ellipbounds.cli import _cmd_compare, main
+from ellipbounds.cli import GridSpec, Spacing, _cmd_compare, main
 from oracles import quad_e
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -264,6 +264,10 @@ class TestCompare:
                                   "--points", str(points), "--families", "all", *EXTRA_SPECS,
                                   "--output", str(out_path)])
         assert code == 0
+        self._assert_rows_are_best_enclosure(out_path, points)
+
+    @staticmethod
+    def _assert_rows_are_best_enclosure(out_path, points):
         specs = default_candidates() + [parse_bound_spec(s) for s in EXTRA_SPECS]
         rows = out_path.read_text().splitlines()[1:]
         assert len(rows) == points
@@ -271,6 +275,38 @@ class TestCompare:
             r = float(row.split(",")[0])
             enc = best_enclosure(r, specs)
             assert row == ",".join(f"{v:.17g}" for v in (r, complete_e(r), *enc.values, enc.lo, enc.hi))
+
+    @pytest.mark.parametrize("start,points,spacing", [
+        ("5e-324", 3, "uniform"),
+        ("5e-324", 257, "uniform"),
+        ("1e-8", 257, "log-near-one"),
+    ])
+    def test_extreme_radius_rows_are_best_enclosure(self, tmp_path, capsys, start, points, spacing):
+        # a subnormal first radius and the largest double below 1 as the last
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, ["compare", "--start", start, "--end", repr(1.0 - 2.0**-53),
+                                  "--points", str(points), "--spacing", spacing,
+                                  "--families", "all", *EXTRA_SPECS, "--output", str(out_path)])
+        assert code == 0
+        rs = [float(row.split(",")[0]) for row in out_path.read_text().splitlines()[1:]]
+        assert rs == GridSpec(float(start), 1.0 - 2.0**-53, points, Spacing(spacing)).values()
+        assert rs[-1] == 1.0 - 2.0**-53
+        assert spacing != "uniform" or rs[0] == 5e-324
+        self._assert_rows_are_best_enclosure(out_path, points)
+
+    def test_header_round_trips_through_csv(self, tmp_path, capsys):
+        # a thm12 label holds a comma, so the header quotes it
+        out_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, ["compare", "--start", "0.1", "--end", "0.9", "--points", "2",
+                                  "--families", "all", *EXTRA_SPECS, "--output", str(out_path)])
+        assert code == 0
+        specs = default_candidates() + [parse_bound_spec(s) for s in EXTRA_SPECS]
+        labels = [s.label for s in specs]
+        assert "thm12:t=0.94999999999999996,p=1.5" in labels
+        with open(out_path, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["r", "e_ref", *labels, "best_lo", "best_hi"]
+        assert '"thm12:t=0.94999999999999996,p=1.5"' in out_path.read_text().splitlines()[0]
 
     @pytest.mark.parametrize("start,families", [
         ("0", ["all"]),
