@@ -17,7 +17,12 @@ which exits 1, and `crossover` of an invalid thm11 spec with vuorinen, whose
 root comes from the float bisection.  The last two are uniform `compare` CSVs
 over the same family list at 2 points and at 513, which `compare` writes as
 two full 256-row chunks and one row, and at 257 points from the smallest
-subnormal to the largest double below 1.
+subnormal to the largest double below 1.  The last six hash stdout, stderr
+and the exit code of the radius check at the public boundary: `eval` of E
+at r = 1 (exactly 1), of K at r = 1 (exit 2, divergence) and of E at r = 1.5
+(exit 2, the [0, 1] message), `enclose` at r = 1 (exit 2, the open-interval
+message), and `eval` of the perimeter at r = 1e-300 and of the Toader mean
+of 1 and 1e-300, whose complement radius rounds to 1, where E(1) = 1.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -72,6 +77,12 @@ OUTPUTS = [
     ("compare extreme radii 257", {},
      ["compare", "--start", "5e-324", "--end", repr(1.0 - 2.0**-53), "--points", "257",
       "--families", *FAMILIES, "--output", "table.csv"], "csv"),
+    *((f"eval {what} r={r}", {}, ["eval", "--what", what, "--r", r], "streams")
+      for what, r in (("E", "1"), ("K", "1"), ("E", "1.5"))),
+    ("enclose all, r=1 (exit 2)", {}, ["enclose", "--r", "1", "--families", "all"], "streams"),
+    ("eval perimeter r=1e-300", {}, ["eval", "--what", "perimeter", "--r", "1e-300"], "streams"),
+    ("eval toader b=1e-300", {}, ["eval", "--what", "toader", "--a", "1", "--b", "1e-300"],
+     "streams"),
 ]
 
 

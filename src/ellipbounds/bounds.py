@@ -40,7 +40,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _float, _open_modulus
+from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _float, _radius
 from .errors import ConfigurationError, DomainError, InvalidBoundError
 
 __all__ = [
@@ -297,8 +297,8 @@ class BoundSpec:
         return self.family.value + ":" + ",".join(f"{n}={v:.17g}" for n, v in zip(params, self._args))
 
     def evaluate(self, m: Modulus | float) -> float:
-        m = _open_modulus(m)
-        return self._at(m.r, m.r_comp)
+        r = _radius(m, True)
+        return self._at(r, _complement(r))
 
 
 @dataclass(frozen=True)
@@ -372,9 +372,10 @@ def default_candidates() -> list[BoundSpec]:
 def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure:
     """Tightest enclosure over the candidate specs: max of the lower bounds,
     min of the upper bounds, with the winning spec recorded per side."""
-    m = _open_modulus(m)
+    r = _radius(m, True)
+    rc = _complement(r)
     lows, ups = _split(candidates)
-    values = [spec._at(m.r, m.r_comp) for spec in candidates]
+    values = [spec._at(r, rc) for spec in candidates]
     # the first maximum (minimum) in candidate order, among that side only
     lo, hi = max(lows, key=values.__getitem__), min(ups, key=values.__getitem__)
     return Enclosure(values[lo], values[hi], candidates[lo], candidates[hi], tuple(values))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bounds import BoundSpec, _columns, _split, best_enclosure, default_candidates, parse_bound_spec
-from .core import _float, _open_modulus, complete_e, complete_k, ellipse_perimeter, toader_mean
+from .core import _float, _radius, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -68,6 +68,9 @@ class GridSpec:
             raise DomainError(f"grid needs at least 2 points, got {self.points!r}")
         if self.spacing is Spacing.LOG_NEAR_ONE and self.end >= 1.0:
             raise DomainError("log-near-one spacing needs end < 1")
+        # 1 - start rounds to 1 there, and the first point would be r = 0
+        if self.spacing is Spacing.LOG_NEAR_ONE and 0.0 < start and 1.0 - start == 1.0:
+            raise DomainError(f"log-near-one spacing needs start > 2**-54, got {self.start!r}")
 
     def values(self) -> list[float]:
         n = self.points
@@ -162,11 +165,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rs = grid.values()
     # check every radius and the candidates (first row first, as best_enclosure
     # would) before the file is opened, so a usage error leaves it untouched
-    _open_modulus(rs[0])
+    _radius(rs[0], True)
     split = _split(specs)
     for r in rs:
         if not 0.0 < r < 1.0:
-            _open_modulus(r)
+            _radius(r, True)
     # labels may hold commas; no %.17g float (nan, inf too) needs quoting
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     try:

@@ -58,6 +58,18 @@ def _float(value: object) -> float:
         return math.nan
 
 
+def _radius(value: object, open_: bool = False) -> float:
+    # the one range check on a radius: a Modulus gives its r, anything else
+    # goes through _float; open_ narrows [0, 1] to (0, 1)
+    r = value.r if isinstance(value, Modulus) else _float(value)
+    if not (0.0 <= r <= 1.0):
+        raise DomainError(f"modulus must lie in [0, 1], got {value!r}")
+    if open_ and not (0.0 < r < 1.0):
+        raise DomainError(f"defined on the open interval (0, 1) only, got r={r!r}; "
+                          "use the analytic limit values at the endpoints")
+    return r
+
+
 @dataclass(frozen=True)
 class Modulus:
     """A modulus r in [0, 1] with its cached complement r' = sqrt(1 - r^2).
@@ -70,11 +82,8 @@ class Modulus:
     r_comp: float = field(init=False)
 
     def __post_init__(self) -> None:
-        r = _float(self.r)
-        if not (0.0 <= r <= 1.0):
-            raise DomainError(f"modulus must lie in [0, 1], got {self.r!r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "r_comp", _complement(r))
+        object.__setattr__(self, "r", _radius(self.r))
+        object.__setattr__(self, "r_comp", _complement(self.r))
 
 
 @dataclass(frozen=True)
@@ -105,17 +114,6 @@ def as_modulus(value: Modulus | float) -> Modulus:
     if isinstance(value, Modulus):
         return value
     return Modulus(value)
-
-
-def _open_modulus(value: Modulus | float) -> Modulus:
-    """as_modulus, restricted to the open interval 0 < r < 1."""
-    m = as_modulus(value)
-    if not (0.0 < m.r < 1.0):
-        raise DomainError(
-            f"defined on the open interval (0, 1) only, got r={m.r!r}; "
-            "use the analytic limit values at the endpoints"
-        )
-    return m
 
 
 def agm(a: float, b: float) -> float:
@@ -156,16 +154,14 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
 
 
 def _row(r: float) -> tuple[float, float, float, float]:
-    # the row (r, r', K, E) of a radius already known to lie in (0, 1)
+    # the row (r, r', K, E) of a radius already known to lie in [0, 1]
     rc = _complement(r)
     return (r, rc, *_agm_ke(r, rc))
 
 
 def elliptic_ke(m: Modulus | float) -> EllipticValues:
     """Evaluate K(r) and E(r) together from a single AGM run, r in [0, 1)."""
-    m = as_modulus(m)
-    k, e = _agm_ke(m.r, m.r_comp)
-    return EllipticValues(k_val=k, e_val=e)
+    return EllipticValues(*_row(_radius(m))[2:])
 
 
 def complete_k(m: Modulus | float) -> float:
@@ -175,9 +171,7 @@ def complete_k(m: Modulus | float) -> float:
     DivergenceError rather than returning an infinity, so enclosure code
     cannot silently propagate one.
     """
-    m = as_modulus(m)
-    k, _ = _agm_ke(m.r, m.r_comp)
-    return k
+    return _row(_radius(m))[2]
 
 
 def complete_e(m: Modulus | float) -> float:
@@ -186,11 +180,8 @@ def complete_e(m: Modulus | float) -> float:
     Strictly decreasing from E(0) = pi/2 to E(1) = 1; the endpoint r = 1 is
     returned exactly as 1.0.
     """
-    m = as_modulus(m)
-    if m.r == 1.0:
-        return 1.0
-    _, e = _agm_ke(m.r, m.r_comp)
-    return e
+    r = _radius(m)
+    return 1.0 if r == 1.0 else _row(r)[3]
 
 
 def ellipse_perimeter(r: float) -> float:
@@ -202,8 +193,7 @@ def ellipse_perimeter(r: float) -> float:
     x = _float(r)
     if not (0.0 < x < 1.0):
         raise DomainError(f"ellipse aspect ratio must lie in (0, 1), got {r!r}")
-    inner = _complement(x)
-    return 4.0 * complete_e(Modulus(inner))
+    return 4.0 * complete_e(_complement(x))
 
 
 def toader_mean(a: float, b: float) -> float:
@@ -222,7 +212,7 @@ def toader_mean(a: float, b: float) -> float:
     inner = _complement(y / x)
     # homogeneous of degree one: scaling x to its mantissa keeps 2 x E finite
     frac, k = math.frexp(x)
-    return math.ldexp(2.0 * frac * complete_e(Modulus(inner)) / math.pi, k)
+    return math.ldexp(2.0 * frac * complete_e(inner) / math.pi, k)
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,7 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
     dE/dr = (E - K)/r, d(E - r'^2 K)/dr = r K, d(K - E)/dr = r E / r'^2
     against central differences with step h.  Each residual is O(h^2).
     """
-    r = as_modulus(m).r
+    r = _radius(m)
     h = _float(h)
     if not (0.0 < h <= 1e-3):
         raise DomainError(f"step size must lie in (0, 1e-3], got {h!r}")
@@ -274,7 +264,7 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
 def landen_residual(m: Modulus | float) -> float:
     """Residual |E(2 sqrt(r)/(1+r)) - (2E(r) - r'^2 K(r))/(1+r)| of the
     ascending Landen identity; stays below 1e-12 across (0, 1)."""
-    r, rc, k, e = _row(_open_modulus(m).r)
+    r, rc, k, e = _row(_radius(m, True))
     rhs = (2.0 * e - rc * rc * k) / (1.0 + r)
     lifted = 2.0 * math.sqrt(r) / (1.0 + r)
     # near r = 1 the lifted modulus rounds to 1, where E(1) = 1

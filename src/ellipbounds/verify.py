@@ -25,7 +25,7 @@ from fractions import Fraction
 from bisect import bisect_left
 from itertools import chain, repeat
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bounds import (
     ALPHA_STAR,
@@ -40,7 +40,7 @@ from .bounds import (
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _HUGE, _agm_ke, _complement, _float, _open_modulus, _row
+from .core import HALF_PI, Modulus, _HUGE, _agm_ke, _complement, _float, _radius, _row
 from .errors import ConfigurationError, DomainError, VerificationError
 
 __all__ = [
@@ -250,11 +250,11 @@ def _public(fn: str, m: Modulus | float, **params: float) -> float:
     # the public scalar path of a swept function: validate, then one row, or
     # the claimed r = 0+ limit below _LIMIT_R
     sd = _SWEEPS[fn]
-    m = _open_modulus(m)
+    r = _radius(m, True)
     params = sd.check(params)
-    if m.r < _LIMIT_R:
+    if r < _LIMIT_R:
         return sd.limits(params)[0]
-    return sd.fn(*_row(m.r), **params)
+    return sd.fn(*_row(r), **params)
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
@@ -294,7 +294,7 @@ def lemma25_check(p: float) -> Lemma25Margins:
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    return _l26_f(*_row(_open_modulus(m).r), _param("u", u), _param("p", p))
+    return _l26_f(*_row(_radius(m, True)), _param("u", u), _param("p", p))
 
 
 def lemma27_F(m: Modulus | float) -> float:
@@ -516,17 +516,12 @@ def lemma26_expected_case(u: float, p: float) -> SignCase:
     return SignCase.POSITIVE_THEN_NEGATIVE
 
 
-def _classify_sign_pattern(signs: list[int]) -> SignCase:
-    # signs: nonzero entries in grid order
-    if all(s < 0 for s in signs):
-        return SignCase.ALL_NEGATIVE
-    if all(s > 0 for s in signs):
-        return SignCase.ALL_POSITIVE
-    flips = [i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
-    if len(flips) == 1 and signs[0] > 0:
-        return SignCase.POSITIVE_THEN_NEGATIVE
-    raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
-                            f"starting {'positive' if signs[0] > 0 else 'negative'}")
+def _sign_changes(rs: Iterable[float], fs: Iterable[float], floor: float) -> tuple[list, list]:
+    # the samples (r, f) with |f| above floor, in grid order, and each
+    # consecutive pair of them whose signs differ as (r0, r1, f(r0) > 0)
+    solid = [(r, f) for r, f in zip(rs, fs) if abs(f) > floor]
+    flips = [(r0, r1, f0 > 0) for (r0, f0), (r1, f1) in zip(solid, solid[1:]) if (f0 > 0) != (f1 > 0)]
+    return solid, flips
 
 
 def _bisect(keeps_lo: Callable[[float, float], bool], lo: float, hi: float, width: float) -> float:
@@ -547,16 +542,18 @@ def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
         raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
     uf, pf = _param("u", u), _param("p", p)
     table = _grid_table(grid, tables)
-    fs = map(_l26_f, *table, repeat(uf), repeat(pf))
-    keep = [(r, f) for r, f in zip(table[0], fs) if abs(f) > _SIGN_TOL]
-    if not keep:
+    solid, flips = _sign_changes(table[0], map(_l26_f, *table, repeat(uf), repeat(pf)), _SIGN_TOL)
+    if not solid:
         raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
-    case = _classify_sign_pattern([1 if f > 0 else -1 for _, f in keep])
-    eta = None
-    if case is SignCase.POSITIVE_THEN_NEGATIVE:
-        pos = max(r for r, f in keep if f > 0)
-        neg = min(r for r, f in keep if f < 0 and r > pos)
-        eta = _bisect(lambda r, rc: _l26_f(r, rc, *_agm_ke(r, rc), uf, pf) > 0.0, pos, neg, 1e-10)
+    starts_positive, eta = solid[0][1] > 0, None
+    if not flips:
+        case = SignCase.ALL_POSITIVE if starts_positive else SignCase.ALL_NEGATIVE
+    elif len(flips) == 1 and starts_positive:
+        case = SignCase.POSITIVE_THEN_NEGATIVE
+        eta = _bisect(lambda r, rc: _l26_f(r, rc, *_agm_ke(r, rc), uf, pf) > 0.0, *flips[0][:2], 1e-10)
+    else:
+        raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
+                                f"starting {'positive' if starts_positive else 'negative'}")
     return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
 
 
@@ -624,10 +621,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
     rs, rcs = _radii(scan)
-    ds = map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs))
-    solid = [(r, d) for r, d in zip(rs, ds) if abs(d) > _SOLID]
-    flips = [(r0, r1, d0 > 0) for (r0, d0), (r1, d1) in zip(solid, solid[1:])
-             if (d0 > 0) != (d1 > 0)]
+    solid, flips = _sign_changes(rs, map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs)), _SOLID)
     if not flips:
         if not solid:
             raise VerificationError("bounds agree to machine precision everywhere; no dominance order")

@@ -237,6 +237,24 @@ class TestCompare:
         assert "open interval" in err
         assert out_path.read_text() == "earlier contents\n"
 
+    @pytest.mark.parametrize("start", ["5e-324", "1e-300", repr(2.0**-54)])
+    def test_log_near_one_start_lost_in_one_minus_start(self, tmp_path, capsys, start):
+        # 1 - start rounds to 1, which would make the first grid point r = 0:
+        # the grid names the start the user gave, before the file is opened
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("earlier contents\n")
+        code, _, err = run(capsys, ["compare", "--start", start, "--end", "0.9999999999999999",
+                                    "--points", "257", "--spacing", "log-near-one",
+                                    "--families", "all", "--output", str(out_path)])
+        assert code == 2
+        assert err == f"error: log-near-one spacing needs start > 2**-54, got {float(start)!r}\n"
+        assert out_path.read_text() == "earlier contents\n"
+
+    def test_log_near_one_smallest_start_kept(self):
+        # the next double above 2**-54 still moves 1 - start off 1
+        rs = GridSpec(math.nextafter(2.0**-54, 1.0), 0.5, 3, Spacing.LOG_NEAR_ONE).values()
+        assert 0.0 < rs[0] < rs[1] < rs[2]
+
     def _peak(self, tmp_path, capsys, families):
         tracemalloc.start()
         try:

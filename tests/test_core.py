@@ -70,6 +70,28 @@ class TestModulus:
         with pytest.raises(DomainError):
             Modulus(r)
 
+    def test_modulus_of_a_modulus_is_the_same_modulus(self):
+        # a Modulus is an accepted radius wherever a float is, Modulus() included
+        assert Modulus(Modulus(0.5)) == Modulus(0.5)
+        assert Modulus(Modulus(1.0)).r_comp == 0.0
+
+    @pytest.mark.parametrize("value,message", [
+        (1.5, "modulus must lie in [0, 1], got 1.5"),
+        ("x", "modulus must lie in [0, 1], got 'x'"),
+        (-0.0, "defined on the open interval (0, 1) only, got r=-0.0; "
+               "use the analytic limit values at the endpoints"),
+        (1, "defined on the open interval (0, 1) only, got r=1.0; "
+            "use the analytic limit values at the endpoints"),
+        (Modulus(0.0), "defined on the open interval (0, 1) only, got r=0.0; "
+                       "use the analytic limit values at the endpoints"),
+    ])
+    def test_one_check_closed_then_open(self, value, message):
+        # the [0, 1] message comes first and names the argument as given; a
+        # function on (0, 1) then names the radius as a float
+        with pytest.raises(DomainError) as exc:
+            landen_residual(value)
+        assert str(exc.value) == message
+
 
 class TestCompleteK:
     def test_zero(self):

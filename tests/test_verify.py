@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -22,7 +23,13 @@ from ellipbounds import (
     Side,
     VerificationError,
     best_enclosure,
+    complete_e,
+    complete_k,
+    corollary31,
     default_candidates,
+    derivative_residuals,
+    ellipse_perimeter,
+    landen_residual,
     lemma22_function,
     lemma23_g,
     lemma24_h,
@@ -32,11 +39,12 @@ from ellipbounds import (
     lemma27_F,
     search_violation,
     sweep_monotone,
+    toader_mean,
+    vuorinen_lower,
 )
 from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
     _SWEEPS,
-    _classify_sign_pattern,
     _d2,
     _dd,
     _emr,
@@ -262,11 +270,16 @@ class TestLemma26:
         assert cases == {SignCase.ALL_NEGATIVE, SignCase.ALL_POSITIVE,
                          SignCase.POSITIVE_THEN_NEGATIVE}
 
-    def test_inconsistent_pattern_rejected(self):
-        with pytest.raises(VerificationError):
-            _classify_sign_pattern([-1, -1, 1, 1])
-        with pytest.raises(VerificationError):
-            _classify_sign_pattern([1, -1, 1])
+    def test_inconsistent_pattern_rejected(self, monkeypatch):
+        # f as a step function of r: negative then positive, and positive,
+        # negative, positive again
+        for positive, message in [(lambda r: r > 0.5, "1 sign change(s), starting negative"),
+                                  (lambda r: not 0.3 < r < 0.7, "2 sign change(s), starting positive")]:
+            monkeypatch.setattr(ellipbounds.verify, "_l26_f",
+                                lambda r, rc, k, e, u, p, positive=positive: 1.0 if positive(r) else -1.0)
+            with pytest.raises(VerificationError) as exc:
+                lemma26_classify(0.3, 1.0)
+            assert str(exc.value) == "inconsistent sign pattern: " + message
 
     def test_grid_minimum(self):
         with pytest.raises(ConfigurationError):
@@ -455,12 +468,65 @@ def modulus_count(monkeypatch):
     return count
 
 
+def _bits(x):
+    # x with every float written as its hex, so that equal means bit-identical
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    if isinstance(x, BoundSpec):
+        return x.label
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+# every public scalar call that takes a radius (or a Modulus) as its first argument
+RADIUS_CALLS = {
+    "complete_e": complete_e,
+    "complete_k": complete_k,
+    "elliptic_ke": elliptic_ke,
+    "derivative_residuals": derivative_residuals,
+    "landen_residual": landen_residual,
+    "BoundSpec.evaluate": BoundSpec(Family.THM12, t=0.95, p=1.5).evaluate,
+    "vuorinen_lower": vuorinen_lower,
+    "best_enclosure": lambda m: best_enclosure(m, default_candidates()),
+    "corollary31": corollary31,
+    **{f"lemma22_function {i}": functools.partial(lemma22_function, i) for i in range(1, 8)},
+    "lemma23_g": lemma23_g,
+    "lemma24_h": lambda m: lemma24_h(m, 1.5),
+    "lemma26_f": lambda m: lemma26_f(m, 0.3, 1.0),
+    "lemma27_F": lemma27_F,
+}
+# and the two that take a float only
+FLOAT_CALLS = {**RADIUS_CALLS, "ellipse_perimeter": ellipse_perimeter,
+               "toader_mean": lambda r: toader_mean(1.0, r)}
+
+
 class TestValidatedOnce:
-    # a radius is validated by the public call that receives it; the scans
-    # below it build one Modulus per radius they visit, not one per bound
+    # a radius is checked once, by the public call that receives it, and as
+    # a float: the package builds no Modulus, neither there nor below
     def test_enclosure_builds_one_modulus(self, modulus_count):
         best_enclosure(0.5, default_candidates())
-        assert modulus_count[0] == 1
+        assert modulus_count[0] == 0
+
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+    @pytest.mark.parametrize("name", FLOAT_CALLS)
+    def test_public_call_builds_no_modulus(self, modulus_count, name, r):
+        FLOAT_CALLS[name](r)
+        assert modulus_count[0] == 0
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-3, 0.5, 0.999, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("name", RADIUS_CALLS)
+    def test_modulus_argument_is_its_float(self, name, r):
+        # a Modulus gives the same bits as its r, or the same error
+        results = []
+        for m in (r, Modulus(r)):
+            try:
+                results.append(_bits(RADIUS_CALLS[name](m)))
+            except DomainError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
 
     def test_sharpness_suite(self, modulus_count):
         run_sharpness_suite(grid_points=2000)
