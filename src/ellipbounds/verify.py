@@ -3,9 +3,10 @@ the bound proofs, grid sweeps with endpoint extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
 Every auxiliary function is a pure function of one row (r, r', K, E) of a
-grid table, built once per grid and suite run with one AGM run per radius;
-every scan on that grid maps a row function or a bound over its columns.  A
-public function such as lemma23_g(r) evaluates one row the same way.
+grid table, built with one AGM run per radius and kept in a three-entry cache
+that run_suite empties on entry; every scan maps a row function or a bound
+over a table's columns.  The suites call the public scans, and a public
+function such as lemma23_g(r) evaluates one row the same way.
 
 Near r = 0 the auxiliary functions combine K and E in ways that cancel
 catastrophically (E - r'^2 K and K - E vanish like r^2, E^2 - r'^2 K^2 like
@@ -16,6 +17,7 @@ series of K and E at import time.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from array import array
@@ -97,17 +99,24 @@ def _radii(n: int) -> tuple[array, array]:
     return rs, array("d", map(_complement, rs))
 
 
-def _grid_table(n: int, tables: dict[int, tuple]) -> tuple:
+def _size(n: int) -> int:
+    # the one check on a grid size, made before any table lookup
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
+    return int(n)
+
+
+# three entries: one "all" run scans three grids, its own, 256 and 1000 points
+@functools.lru_cache(maxsize=3)
+def _grid_table(n: int) -> tuple:
     """The rows of the n-point grid_open_unit grid as columns (r, r', K, E)
-    of doubles, built once per tables dict; scans map over its columns."""
-    if n not in tables:
-        rs, rcs = _radii(n)
-        ks, es = array("d"), array("d")
-        for k, e in map(_agm_ke, rs, rcs):
-            ks.append(k)
-            es.append(e)
-        tables[n] = rs, rcs, ks, es
-    return tables[n]
+    of doubles, for a grid size _size has checked; scans map over its columns."""
+    rs, rcs = _radii(n)
+    ks, es = array("d"), array("d")
+    for k, e in map(_agm_ke, rs, rcs):
+        ks.append(k)
+        es.append(e)
+    return rs, rcs, ks, es
 
 
 # --------------------------------------------------------------------------
@@ -349,8 +358,7 @@ class MonotoneReport:
 def grid_open_unit(n: int) -> list[float]:
     """n uniformly spaced points from 1e-6 to 1 - 1e-6, n >= 2: the radii of
     every verify grid, all of them inside (0, 1)."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
+    n = _size(n)
     step = (1.0 - 2.0 * _GRID_EPS) / (n - 1)
     return [_GRID_EPS + i * step for i in range(n)]
 
@@ -440,9 +448,12 @@ def sweep_ids() -> list[str]:
     return list(_SWEEPS)
 
 
-def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneReport:
-    # sweep_monotone, on the grid's table in tables
-    if fn not in _SWEEPS:
+def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> MonotoneReport:
+    """Sweep one named auxiliary function over a uniform grid on
+    (1e-6, 1 - 1e-6), recording the worst movement against its claimed
+    direction and Richardson-style endpoint extrapolations from the three
+    grid points nearest each endpoint."""
+    if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
     if not _float(grid) >= 1000:
@@ -452,7 +463,7 @@ def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneRep
         raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
     params = sd.check(params)
 
-    rs, _, ks, _ = table = _grid_table(grid, tables)
+    rs, _, ks, _ = table = _grid_table(_size(grid))
     fs = list(map(sd.fn, *table, *map(repeat, params.values())))
     # movement against the claimed direction between consecutive grid points
     moves = map(sub, fs, fs[1:]) if sd.direction is Direction.INCREASING else map(sub, fs[1:], fs)
@@ -476,14 +487,6 @@ def _sweep(fn: str, grid: int, params: dict | None, tables: dict) -> MonotoneRep
         claimed_left=claimed_left,
         claimed_right=claimed_right,
     )
-
-
-def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> MonotoneReport:
-    """Sweep one named auxiliary function over a uniform grid on
-    (1e-6, 1 - 1e-6), recording the worst movement against its claimed
-    direction and Richardson-style endpoint extrapolations from the three
-    grid points nearest each endpoint."""
-    return _sweep(fn, grid, params, {})
 
 
 # --------------------------------------------------------------------------
@@ -536,12 +539,16 @@ def _bisect(keeps_lo: Callable[[float, float], bool], lo: float, hi: float, widt
     return 0.5 * (lo + hi)
 
 
-def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
-    # lemma26_classify, on the grid's table in tables
+def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
+    """Sample the log-ratio function on a grid, classify its sign pattern,
+    and locate the sign-change radius eta by bisection (to 1e-10) in the
+    mixed case.  Samples within 5e-15 of zero are treated as indeterminate;
+    any pattern other than all-negative, all-positive, or a single
+    positive-to-negative flip raises VerificationError."""
     if not _float(grid) >= 100:
         raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
     uf, pf = _param("u", u), _param("p", p)
-    table = _grid_table(grid, tables)
+    table = _grid_table(_size(grid))
     solid, flips = _sign_changes(table[0], map(_l26_f, *table, repeat(uf), repeat(pf)), _SIGN_TOL)
     if not solid:
         raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
@@ -555,15 +562,6 @@ def _classify(u: float, p: float, grid: int, tables: dict) -> SignCaseReport:
         raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
                                 f"starting {'positive' if starts_positive else 'negative'}")
     return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
-
-
-def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
-    """Sample the log-ratio function on a grid, classify its sign pattern,
-    and locate the sign-change radius eta by bisection (to 1e-10) in the
-    mixed case.  Samples within 5e-15 of zero are treated as indeterminate;
-    any pattern other than all-negative, all-positive, or a single
-    positive-to-negative flip raises VerificationError."""
-    return _classify(u, p, grid, {})
 
 
 def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
@@ -662,24 +660,19 @@ def _violations(spec: BoundSpec, side: Side, rs, rcs, ks, es) -> Iterator[float]
     return map(sub, bs, es) if side is Side.LOWER else map(sub, es, bs)
 
 
-def _search(spec: BoundSpec, side: Side, scan: int, tables: dict) -> tuple[float, float]:
-    # search_violation, on the scan grid's table in tables
-    if side not in (Side.LOWER, Side.UPPER):
-        raise ConfigurationError("claimed side must be LOWER or UPPER")
-    rs, *_ = table = _grid_table(scan, tables)
-    vs = list(_violations(spec, side, *table))
-    i = vs.index(max(vs))
-    lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    # the refinement evaluates one-row tables: zip(row) gives its columns
-    return _golden_max(lambda r: next(_violations(spec, side, *zip(_row(r)))), lo, hi)
-
-
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:
     """Hunt for the largest violation of a claimed side: for a claimed lower
     bound the violation is bound - E, for an upper bound E - bound.  Coarse
     grid argmax followed by golden-section refinement; returns (r, violation)
     with violation > 0 meaning the claim fails at r."""
-    return _search(spec, claimed_side, scan, {})
+    if claimed_side not in (Side.LOWER, Side.UPPER):
+        raise ConfigurationError("claimed side must be LOWER or UPPER")
+    rs, *_ = table = _grid_table(_size(scan))
+    vs = list(_violations(spec, claimed_side, *table))
+    i = vs.index(max(vs))
+    lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
+    # the refinement evaluates one-row tables: zip(row) gives its columns
+    return _golden_max(lambda r: next(_violations(spec, claimed_side, *zip(_row(r)))), lo, hi)
 
 
 # --------------------------------------------------------------------------
@@ -700,17 +693,13 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Monotonicity sweeps for every auxiliary function on one shared grid
     table, the two-sided threshold inequality on a p-grid, and the sign-case
     classification sample on one shared 256-point table."""
-    return _lemmas(grid_points, {})
-
-
-def _lemmas(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
     plan = [("lemma22_%d" % i, None) for i in range(1, 8)]
     plan.append(("lemma23_g", None))
     plan += [("lemma24_h", {"p": p}) for p in (0.5, 0.75, 1.0, 1.5, 2.0)]
     plan.append(("lemma27_F", None))
     for fn, params in plan:
-        rep = _sweep(fn, grid_points, params, tables)
+        rep = sweep_monotone(fn, grid_points, params)
         sd = _SWEEPS[fn]
         ok = rep.worst_violation == 0.0 and rep.left_error <= sd.tol
         if rep.divergent_right:
@@ -738,7 +727,7 @@ def _lemmas(grid_points: int, tables: dict) -> list[CheckResult]:
     sample = lemma26_case_sample()
     bad = []
     for u, p, expected in sample:
-        rep = _classify(u, p, 256, tables)
+        rep = lemma26_classify(u, p, 256)
         if rep.case_id is not expected:
             bad.append((u, p, expected.value, rep.case_id.value))
         elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
@@ -771,11 +760,7 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Validity of every sharp-constant family on one grid table, then the
     falsifiers on one shared 1000-point table: each sharp constant perturbed
     by 1e-3 into the invalid region must produce a located violation."""
-    return _sharpness(grid_points, {})
-
-
-def _sharpness(grid_points: int, tables: dict) -> list[CheckResult]:
-    valid = _grid_table(grid_points, tables)
+    valid = _grid_table(_size(grid_points))
     out: list[CheckResult] = []
     for spec in default_candidates():
         side = spec.side
@@ -788,7 +773,7 @@ def _sharpness(grid_points: int, tables: dict) -> list[CheckResult]:
                    f"(slack {_fmt(_VALIDITY_SLACK)}, grid={grid_points})",
         ))
     for name, spec, side in _falsifier_plan():
-        r, v = _search(spec, side, 1000, tables)
+        r, v = search_violation(spec, side, 1000)
         out.append(CheckResult(
             name=f"falsify {name}",
             passed=v > _SOLID,
@@ -801,10 +786,6 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """The bound-comparison claims: the coincidence identity, the quadratic
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
-    return _remarks(grid_points, {})
-
-
-def _remarks(grid_points: int, tables: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
     rs, rcs = _radii(grid_points)
 
@@ -858,14 +839,14 @@ def _remarks(grid_points: int, tables: dict) -> list[CheckResult]:
     return out
 
 
-_RUNNERS = {"lemmas": _lemmas, "sharpness": _sharpness, "remarks": _remarks}
-SUITE_NAMES = (*_RUNNERS, "all")
+SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    # one tables dict per call, so "all" builds each grid's table once
+    # an empty table cache per call, so every run builds each grid's table once
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    runners = _RUNNERS.values() if name == "all" else [_RUNNERS[name]]
-    tables: dict[int, tuple] = {}
-    return [res for run in runners for res in run(grid_points, tables)]
+    _grid_table.cache_clear()
+    runs = (run_lemma_suite, run_sharpness_suite, run_remarks_suite)
+    return [res for suite, run in zip(SUITE_NAMES, runs) if name in (suite, "all")
+            for res in run(grid_points)]

@@ -28,9 +28,9 @@ from ellipbounds.verify import (
 TINY = math.nextafter(0.0, 1.0)  # the smallest subnormal, 5e-324
 BELOW_ONE = math.nextafter(1.0, 0.0)  # K(BELOW_ONE) is about 19.4
 HOSTILE = [math.nan, math.inf, -math.inf, TINY, -TINY, 1e-310, BELOW_ONE, 0, 1, 0.0, 1.0,
-           -1.0, 2.0, 1e308, sys.float_info.max, True, False, None, "x"]
+           -1.0, 2.0, 1e308, sys.float_info.max, True, False, None, "x", [0.5]]
 # grid sizes: too small, 2 points, non-integral, and non-numbers
-GRIDS = [2, 3, 0, 1, -5, 2.5, 1000.5, math.nan, math.inf, True, None, "x"]
+GRIDS = [2, 3, 0, 1, -5, 2.5, 1000.0, 1000.5, math.nan, math.inf, True, None, "x", [1000]]
 
 SPEC = BoundSpec(Family.THM11, q=BETA_STAR)
 FALSIFIED = BoundSpec(Family.THM11, q=BETA_STAR + 1e-3)
@@ -90,6 +90,7 @@ CALLS = {
     "lemma26_classify u": lambda x: eb.lemma26_classify(x, 1.0, 100),
     "lemma26_classify p": lambda x: eb.lemma26_classify(0.3, x, 100),
     "sweep_monotone p": lambda x: eb.sweep_monotone("lemma24_h", 1000, {"p": x}),
+    "sweep_monotone fn": lambda x: eb.sweep_monotone(x, 1000),
     "GridSpec start": lambda x: GridSpec(x, 0.5, 11).values(),
     "GridSpec end": lambda x: GridSpec(0.1, x, 11).values(),
 }

@@ -83,7 +83,7 @@ SWEEPS += [("lemma24_h", {"p": 0.5}), ("lemma24_h", {"p": 2.0})]
 def test_table_path_matches_public_path(fn, params):
     # a sweep reads grid-table rows, which hold _row of their radius exactly;
     # the public function evaluates a one-row table of its own
-    table = _grid_table(7, {})
+    table = _grid_table(7)
     assert list(zip(*table)) == [_row(r) for r in table[0]]
     swept = [_SWEEPS[fn].fn(*_row(r), **params) for r in AGREEMENT_RADII]
     assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
@@ -565,12 +565,19 @@ class TestColumnScans:
             count[0] += 1
             return agm_ke(r, rc)
 
+        # standalone scans leave the three tables cached; run_suite empties
+        # the cache, so a warm run does the same work as a cold one
+        sweep_monotone("lemma22_1", 2000)
+        lemma26_classify(0.3, 1.0)
+        search_violation(_falsifier_plan()[0][1], Side.LOWER)
         for module in (ellipbounds.core, ellipbounds.verify):
             monkeypatch.setattr(module, "_agm_ke", counting)
-        run_suite("all", grid_points=2000)
-        # one run per radius of the 2000-, 256- and 1000-point tables, plus
-        # the bisection and golden-section steps
-        assert 2000 + 256 + 1000 <= count[0] <= 2000 + 2500
+        for _ in range(2):
+            count[0] = 0
+            run_suite("all", grid_points=2000)
+            # one run per radius of the 2000-, 256- and 1000-point tables, plus
+            # the bisection and golden-section steps
+            assert 2000 + 256 + 1000 <= count[0] <= 2000 + 2500
 
 
 class TestSuites:
