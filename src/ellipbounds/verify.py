@@ -99,10 +99,13 @@ def _radii(n: int) -> tuple[array, array]:
     return rs, array("d", map(_complement, rs))
 
 
-def _size(n: int) -> int:
-    # the one check on a grid size, made before any table lookup
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ConfigurationError(f"grid needs at least 2 points, got {n!r}")
+def _size(n: int, least: int = 2, what: str = "grid needs") -> int:
+    # the one check on a grid size, made before any table lookup; what starts
+    # the message for a size below least
+    if not isinstance(n, numbers.Integral):
+        raise ConfigurationError(f"grid size must be an integer, got {n!r}")
+    if n < least:
+        raise ConfigurationError(f"{what} at least {least} points, got {n!r}")
     return int(n)
 
 
@@ -456,14 +459,13 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
-    if not _float(grid) >= 1000:
-        raise ConfigurationError(f"sweep grid must have at least 1000 points, got {grid!r}")
+    n = _size(grid, 1000, "sweep grid must have")
     params = dict(params or {})
     if set(params) != set(sd.params):
         raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
     params = sd.check(params)
 
-    rs, _, ks, _ = table = _grid_table(_size(grid))
+    rs, _, ks, _ = table = _grid_table(n)
     fs = list(map(sd.fn, *table, *map(repeat, params.values())))
     # movement against the claimed direction between consecutive grid points
     moves = map(sub, fs, fs[1:]) if sd.direction is Direction.INCREASING else map(sub, fs[1:], fs)
@@ -545,10 +547,9 @@ def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
     mixed case.  Samples within 5e-15 of zero are treated as indeterminate;
     any pattern other than all-negative, all-positive, or a single
     positive-to-negative flip raises VerificationError."""
-    if not _float(grid) >= 100:
-        raise ConfigurationError(f"classification grid must have at least 100 points, got {grid!r}")
+    n = _size(grid, 100, "classification grid must have")
     uf, pf = _param("u", u), _param("p", p)
-    table = _grid_table(_size(grid))
+    table = _grid_table(n)
     solid, flips = _sign_changes(table[0], map(_l26_f, *table, repeat(uf), repeat(pf)), _SIGN_TOL)
     if not solid:
         raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
@@ -607,6 +608,11 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
+def _difference(a: BoundSpec, b: BoundSpec, rs: Sequence[float], rcs: Sequence[float]) -> Iterator[float]:
+    # a - b at each radius of the columns (r, r')
+    return map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs))
+
+
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
     r, rc, _, e = _row(r)
     return a if abs(e - a._at(r, rc)) <= abs(e - b._at(r, rc)) else b
@@ -619,7 +625,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
     rs, rcs = _radii(scan)
-    solid, flips = _sign_changes(rs, map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs)), _SOLID)
+    solid, flips = _sign_changes(rs, _difference(a, b, rs, rcs), _SOLID)
     if not flips:
         if not solid:
             raise VerificationError("bounds agree to machine precision everywhere; no dominance order")
@@ -680,13 +686,25 @@ def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> t
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check of a suite: its printed detail line is rendered from the
+    measured numbers in metrics, which take no part in equality."""
+
     name: str
     passed: bool
     detail: str
+    metrics: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _check(name: str, passed: bool, template: str, **metrics) -> CheckResult:
+    # the one constructor of a CheckResult: the detail line is the template
+    # rendered from the numbers the check keeps
+    return CheckResult(name, passed, template.format(**metrics), metrics)
+
+
+# a sweep's detail line, by whether its claimed right end diverges
+_LEFT = "dir={dir} worst_violation={worst_violation:.6g} left_err={left_err:.6g}(tol {tol:.6g}) "
+_SWEEP = {True: _LEFT + "right=divergent grid={grid}",
+          False: _LEFT + "right_err={right_err:.6g}(tol {tol:.6g}) grid={grid}"}
 
 
 def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
@@ -700,29 +718,18 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     plan.append(("lemma27_F", None))
     for fn, params in plan:
         rep = sweep_monotone(fn, grid_points, params)
-        sd = _SWEEPS[fn]
-        ok = rep.worst_violation == 0.0 and rep.left_error <= sd.tol
-        if rep.divergent_right:
-            right_txt = "right=divergent"
-        else:
-            ok = ok and rep.right_error <= sd.tol
-            right_txt = f"right_err={_fmt(rep.right_error)}(tol {_fmt(sd.tol)})"
-        out.append(CheckResult(
-            name=rep.name,
-            passed=ok,
-            detail=(f"dir={rep.direction.value} worst_violation={_fmt(rep.worst_violation)} "
-                    f"left_err={_fmt(rep.left_error)}(tol {_fmt(sd.tol)}) {right_txt} "
-                    f"grid={rep.grid_size}"),
-        ))
+        tol, divergent = _SWEEPS[fn].tol, rep.divergent_right
+        ok = rep.worst_violation == 0.0 and rep.left_error <= tol and (divergent or rep.right_error <= tol)
+        right = {} if divergent else {"right_err": rep.right_error}
+        out.append(_check(rep.name, ok, _SWEEP[divergent], dir=rep.direction.value,
+                          worst_violation=rep.worst_violation, left_err=rep.left_error, tol=tol,
+                          grid=rep.grid_size, **right))
 
     margins = [lemma25_check(0.5 + 1.5 * i / 99.0) for i in range(100)]
-    worst_lo = min(mg.lower_margin for mg in margins)
-    worst_hi = min(mg.upper_margin for mg in margins)
-    out.append(CheckResult(
-        name="lemma25 threshold gaps",
-        passed=worst_lo > 0.0 and worst_hi > 0.0,
-        detail=f"min lower_margin={_fmt(worst_lo)} min upper_margin={_fmt(worst_hi)} over 100 p-values",
-    ))
+    lo, hi = min(mg.lower_margin for mg in margins), min(mg.upper_margin for mg in margins)
+    out.append(_check("lemma25 threshold gaps", lo > 0.0 and hi > 0.0,
+                      "min lower_margin={lower_margin:.6g} min upper_margin={upper_margin:.6g} "
+                      "over {p_values} p-values", lower_margin=lo, upper_margin=hi, p_values=len(margins)))
 
     sample = lemma26_case_sample()
     bad = []
@@ -732,12 +739,11 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
             bad.append((u, p, expected.value, rep.case_id.value))
         elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
             bad.append((u, p, "eta in (0,1)", rep.eta))
-    out.append(CheckResult(
-        name="lemma26 sign cases",
-        passed=not bad,
-        detail=f"{len(sample) - len(bad)}/{len(sample)} (u,p) samples classified as predicted"
-               + (f"; first mismatch {bad[0]}" if bad else ""),
-    ))
+    mismatch = {"first_mismatch": bad[0]} if bad else {}
+    out.append(_check("lemma26 sign cases", not bad,
+                      "{as_predicted}/{samples} (u,p) samples classified as predicted"
+                      + ("; first mismatch {first_mismatch}" if bad else ""),
+                      as_predicted=len(sample) - len(bad), samples=len(sample), **mismatch))
     return out
 
 
@@ -766,19 +772,14 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
         side = spec.side
         vs = list(_violations(spec, side, *valid))
         worst = max(vs)
-        out.append(CheckResult(
-            name=f"valid {side.value} bound: {spec.label}",
-            passed=worst <= _VALIDITY_SLACK,
-            detail=f"max signed violation {_fmt(worst)} at r={_fmt(valid[0][vs.index(worst)])} "
-                   f"(slack {_fmt(_VALIDITY_SLACK)}, grid={grid_points})",
-        ))
+        out.append(_check(f"valid {side.value} bound: {spec.label}", worst <= _VALIDITY_SLACK,
+                          "max signed violation {violation:.6g} at r={r:.6g} (slack {slack:.6g}, grid={grid})",
+                          violation=worst, r=valid[0][vs.index(worst)], slack=_VALIDITY_SLACK,
+                          grid=grid_points))
     for name, spec, side in _falsifier_plan():
         r, v = search_violation(spec, side, 1000)
-        out.append(CheckResult(
-            name=f"falsify {name}",
-            passed=v > _SOLID,
-            detail=f"violation {_fmt(v)} located at r={_fmt(r)}",
-        ))
+        out.append(_check(f"falsify {name}", v > _SOLID, "violation {violation:.6g} located at r={r:.6g}",
+                          violation=v, r=r))
     return out
 
 
@@ -786,56 +787,40 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """The bound-comparison claims: the coincidence identity, the quadratic
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
-    out: list[CheckResult] = []
     rs, rcs = _radii(grid_points)
-
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
-    worst41 = max(map(abs, map(sub, map(aq._at, rs, rcs), map(t11._at, rs, rcs))))
-    out.append(CheckResult(
-        name="remark 4.1 coincidence",
-        passed=worst41 < 1e-15,
-        detail=f"max |alzer_qiu - thm11(alpha_star)| = {_fmt(worst41)} (tol 1e-15)",
-    ))
-
     coeff = 1.0 - 8.0 / (_PI * _PI)
-    worst42 = 0.0
-    for x in rs:
-        lhs = (1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
-                               + ((1.0 - MU_STAR) + MU_STAR * x) ** 2)
-        worst42 = max(worst42, abs(lhs - coeff * (1.0 - x) ** 2))
-    out.append(CheckResult(
-        name="remark 4.2 identity",
-        passed=worst42 < 1e-14,
-        detail=f"max residual {_fmt(worst42)} (tol 1e-14)",
-    ))
+    worst42 = max(abs((1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
+                                       + ((1.0 - MU_STAR) + MU_STAR * x) ** 2) - coeff * (1.0 - x) ** 2)
+                  for x in rs)
+    # each identity: check name, detail line, largest residual on the grid, tolerance
+    out = [_check(name, worst < tol, template, max_residual=worst, tol=tol) for name, template, worst, tol in [
+        ("remark 4.1 coincidence", "max |alzer_qiu - thm11(alpha_star)| = {max_residual:.6g} (tol {tol:.6g})",
+         max(map(abs, _difference(aq, t11, rs, rcs))), 1e-15),
+        ("remark 4.2 identity", "max residual {max_residual:.6g} (tol {tol:.6g})", worst42, 1e-14),
+    ]]
 
-    cor_lo, vuo = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.VUORINEN)
-    gaps = list(map(sub, map(cor_lo._at, rs, rcs), map(vuo._at, rs, rcs)))
-    min_gap = min(gaps)
-    min_gap_mid = min(gaps[bisect_left(rs, 0.1):], default=math.inf)
-    out.append(CheckResult(
-        name="remark 4.5 dominance",
-        passed=min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
-        detail=f"min(cor31_lower - vuorinen) = {_fmt(min_gap)} on grid, "
-               f"{_fmt(min_gap_mid)} on r >= 0.1",
-    ))
+    vuo = BoundSpec(Family.VUORINEN)
+    gaps = list(_difference(BoundSpec(Family.COR31_LOWER), vuo, rs, rcs))
+    min_gap, min_gap_mid = min(gaps), min(gaps[bisect_left(rs, 0.1):], default=math.inf)
+    out.append(_check("remark 4.5 dominance", min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
+                      "min(cor31_lower - vuorinen) = {min_gap:.6g} on grid, {min_gap_mid:.6g} on r >= 0.1",
+                      min_gap=min_gap, min_gap_mid=min_gap_mid))
 
-    # each crossover: check name, printed delta, and the pair (a, b) of which a
+    # each crossover: check name, detail line, and the pair (a, b) of which a
     # must be the tighter bound near r = 1
-    for name, delta_name, a, b in [
-        ("remark 4.3 crossover (cor31-upper vs alzer-qiu)", "delta1",
+    for name, template, a, b in [
+        ("remark 4.3 crossover (cor31-upper vs alzer-qiu)", "delta1={delta:.12g} r*={r_cross:.12g}",
          BoundSpec(Family.COR31_UPPER), BoundSpec(Family.ALZER_QIU)),
-        ("remark 4.4 crossover (thm11 lower vs vuorinen)", "delta2",
+        ("remark 4.4 crossover (thm11 lower vs vuorinen)", "delta2={delta:.12g} r*={r_cross:.12g}",
          BoundSpec(Family.THM11, q=BETA_STAR), vuo),
     ]:
         cross = find_crossover(a, b)
-        found = isinstance(cross, CrossoverResult)
-        out.append(CheckResult(
-            name=name,
-            passed=found and 0.0 < cross.delta < 1.0 and cross.better_near_one is a,
-            detail=(f"{delta_name}={cross.delta:.12g} r*={cross.r_cross:.12g}"
-                    if found else "no crossover found"),
-        ))
+        if isinstance(cross, CrossoverResult):
+            out.append(_check(name, 0.0 < cross.delta < 1.0 and cross.better_near_one is a, template,
+                              delta=cross.delta, r_cross=cross.r_cross))
+        else:
+            out.append(_check(name, False, "no crossover found"))
     return out
 
 

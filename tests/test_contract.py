@@ -109,12 +109,15 @@ GRID_CALLS = {
 
 
 def finite(value) -> bool:
-    """Every float reachable from value through sequences and dataclass
-    fields is finite; a divergent sweep's right limit is exempt."""
+    """Every float reachable from value through sequences, dict values and
+    dataclass fields (a check's metrics included) is finite; a divergent
+    sweep's right limit is exempt."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, (list, tuple)):
         return all(map(finite, value))
+    if isinstance(value, dict):
+        return all(map(finite, value.values()))
     if dataclasses.is_dataclass(value):
         exempt = ("right_limit", "claimed_right") if getattr(value, "divergent_right", False) else ()
         return all(finite(getattr(value, f.name)) for f in dataclasses.fields(value)

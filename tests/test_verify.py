@@ -445,13 +445,30 @@ NON_INTEGER_GRIDS = {
     "search_violation": lambda: search_violation(BoundSpec(Family.THM11, q=0.1), Side.LOWER, 10.5),
     "find_crossover": lambda: find_crossover(BoundSpec(Family.COR31_UPPER),
                                              BoundSpec(Family.ALZER_QIU), 10.5),
+    # the size is checked before the parameters
+    "sweep_monotone nan p": lambda: sweep_monotone("lemma24_h", 1000.5, {"p": math.nan}),
+    "lemma26_classify nan u": lambda: lemma26_classify(math.nan, 1.0, None),
+    "run_remarks_suite": lambda: run_remarks_suite("x"),
 }
 
 
 @pytest.mark.parametrize("call", NON_INTEGER_GRIDS.values(), ids=NON_INTEGER_GRIDS.keys())
 def test_non_integer_grid_is_a_configuration_error(call):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^grid size must be an integer, got "):
         call()
+
+
+# a size below the caller's minimum keeps each caller's message
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep_monotone("lemma22_1", 999), "sweep grid must have at least 1000 points, got 999"),
+    (lambda: lemma26_classify(0.3, 1.0, 50), "classification grid must have at least 100 points, got 50"),
+    (lambda: grid_open_unit(1), "grid needs at least 2 points, got 1"),
+    (lambda: run_remarks_suite(True), "grid needs at least 2 points, got True"),
+], ids=["sweep", "classify", "grid", "bool"])
+def test_grid_below_minimum(call, message):
+    with pytest.raises(ConfigurationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.fixture
@@ -600,3 +617,116 @@ class TestSuites:
         assert len(run_suite("all", grid_points=1000)) == 42
         with pytest.raises(ConfigurationError):
             run_suite("everything")
+
+
+class TestFailureLines:
+    # each failure branch of the suites, forced by replacing one scan, with the
+    # exact detail line the suites print for it
+    @pytest.fixture
+    def flawed_sweeps(self, monkeypatch):
+        # exact left limits, a nan right extrapolation, and a worst violation
+        # of 2.5e-7 on lemma22_2 (whose right end diverges)
+        sweep = ellipbounds.verify.sweep_monotone
+
+        def flawed(fn, grid, params=None):
+            rep = sweep(fn, grid, params)
+            return dataclasses.replace(rep, left_limit=rep.claimed_left, right_limit=math.nan,
+                                       worst_violation=2.5e-7 if fn == "lemma22_2" else 0.0)
+
+        monkeypatch.setattr(ellipbounds.verify, "sweep_monotone", flawed)
+        return run_lemma_suite(1000)
+
+    def test_sweep_with_nan_right_limit_fails(self, flawed_sweeps):
+        res = flawed_sweeps[0]
+        assert (res.name, res.passed) == ("lemma22_1", False)
+        assert res.detail == ("dir=increasing worst_violation=0 left_err=0(tol 0.001) "
+                              "right_err=nan(tol 0.001) grid=1000")
+
+    def test_sweep_with_positive_violation_fails(self, flawed_sweeps):
+        res = flawed_sweeps[1]
+        assert (res.name, res.passed) == ("lemma22_2", False)
+        assert res.detail == ("dir=increasing worst_violation=2.5e-07 left_err=0(tol 0.001) "
+                              "right=divergent grid=1000")
+
+    @pytest.mark.parametrize("flaw, detail", [
+        ({"case_id": SignCase.ALL_POSITIVE},
+         "45/100 (u,p) samples classified as predicted; "
+         "first mismatch (0.025, 0.5, 'all-negative', 'all-positive')"),
+        ({"eta": 1.5},
+         "75/100 (u,p) samples classified as predicted; "
+         "first mismatch (0.5181708407416107, 0.5, 'eta in (0,1)', 1.5)"),
+    ], ids=["case", "eta"])
+    def test_sign_case_mismatch(self, monkeypatch, flaw, detail):
+        classify = ellipbounds.verify.lemma26_classify
+
+        def flawed(u, p, grid=256):
+            rep = classify(u, p, grid)
+            if "eta" in flaw and rep.case_id is not SignCase.POSITIVE_THEN_NEGATIVE:
+                return rep  # only the mixed case has an eta
+            return dataclasses.replace(rep, **flaw)
+
+        monkeypatch.setattr(ellipbounds.verify, "lemma26_classify", flawed)
+        res = run_lemma_suite(1000)[-1]
+        assert (res.name, res.passed, res.detail) == ("lemma26 sign cases", False, detail)
+
+    def test_validity_over_slack_fails(self, monkeypatch):
+        monkeypatch.setattr(ellipbounds.verify, "_VALIDITY_SLACK", -0.5)
+        res = run_sharpness_suite(1000)[0]
+        assert (res.name, res.passed) == ("valid lower bound: vuorinen", False)
+        assert res.detail == "max signed violation 2.22045e-16 at r=0.003004 (slack -0.5, grid=1000)"
+
+    def test_falsifier_without_violation_fails(self, monkeypatch):
+        monkeypatch.setattr(ellipbounds.verify, "_falsifier_plan",
+                            lambda: [("vuorinen as lower", BoundSpec(Family.VUORINEN), Side.LOWER)])
+        res = run_sharpness_suite(1000)[-1]
+        assert (res.name, res.passed) == ("falsify vuorinen as lower", False)
+        assert res.detail == "violation 4.44089e-16 located at r=0.00305978"
+
+    def test_missing_crossover_fails(self, monkeypatch):
+        monkeypatch.setattr(ellipbounds.verify, "find_crossover",
+                            lambda a, b, scan=1000: NoCrossover(a, b, a))
+        results = run_remarks_suite(1000)[-2:]
+        assert [(res.passed, res.detail) for res in results] == [(False, "no crossover found")] * 2
+
+
+class TestMetrics:
+    # every check is built by verify._check: its detail line is its template
+    # rendered from the metrics it keeps, and the metrics are finite numbers
+    # that take no part in equality, hashing or repr
+    def test_detail_is_the_rendered_metrics(self, monkeypatch):
+        made = []
+        check = ellipbounds.verify._check
+
+        def recording(name, passed, template, **metrics):
+            made.append((template, check(name, passed, template, **metrics)))
+            return made[-1][1]
+
+        monkeypatch.setattr(ellipbounds.verify, "_check", recording)
+        results = run_suite("all", grid_points=1000)
+        assert len(results) == len(made) == 42
+        for res, (template, made_res) in zip(results, made):
+            assert res is made_res
+            assert res.detail == template.format(**res.metrics)
+            floats = [v for v in res.metrics.values() if isinstance(v, float)]
+            assert all(map(math.isfinite, floats)), res
+
+    def test_metric_keys(self):
+        keys = {frozenset(res.metrics) for res in run_suite("all", grid_points=1000)}
+        sweep = {"dir", "worst_violation", "left_err", "tol", "grid"}
+        assert keys == {frozenset(k) for k in [
+            sweep, sweep | {"right_err"},
+            {"lower_margin", "upper_margin", "p_values"},
+            {"as_predicted", "samples"},
+            {"violation", "r", "slack", "grid"},
+            {"violation", "r"},
+            {"max_residual", "tol"},
+            {"min_gap", "min_gap_mid"},
+            {"delta", "r_cross"},
+        ]}
+
+    def test_metrics_take_no_part_in_equality(self):
+        res = run_remarks_suite(1000)[0]
+        bare = dataclasses.replace(res, metrics={})
+        assert res.metrics and bare == res and hash(bare) == hash(res)
+        assert "metrics" not in repr(res)
+
