@@ -23,6 +23,9 @@ at r = 1 (exactly 1), of K at r = 1 (exit 2, divergence) and of E at r = 1.5
 (exit 2, the [0, 1] message), `enclose` at r = 1 (exit 2, the open-interval
 message), and `eval` of the perimeter at r = 1e-300 and of the Toader mean
 of 1 and 1e-300, whose complement radius rounds to 1, where E(1) = 1.
+The parser's own output closes the list: `--help`, `verify --help` and
+`verify --suite bogus` (exit 2), whose suite names the parser reads without
+running `verify`.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -83,6 +86,9 @@ OUTPUTS = [
     ("eval perimeter r=1e-300", {}, ["eval", "--what", "perimeter", "--r", "1e-300"], "streams"),
     ("eval toader b=1e-300", {}, ["eval", "--what", "toader", "--a", "1", "--b", "1e-300"],
      "streams"),
+    ("--help", {}, ["--help"], "streams"),
+    ("verify --help", {}, ["verify", "--help"], "streams"),
+    ("verify --suite bogus (exit 2)", {}, ["verify", "--suite", "bogus"], "streams"),
 ]
 
 

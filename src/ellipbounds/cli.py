@@ -17,9 +17,11 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from . import verify
 from .bounds import BoundSpec, _columns, _split, best_enclosure, default_candidates, parse_bound_spec
 from .core import _float, _radius, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
+    SUITE_NAMES,
     ConfigurationError,
     DivergenceError,
     DomainError,
@@ -27,7 +29,6 @@ from .errors import (
     InvalidBoundError,
     VerificationError,
 )
-from .verify import SUITE_NAMES, CrossoverResult, find_crossover, run_suite
 
 __all__ = ["main", "entry", "GridSpec", "Spacing"]
 
@@ -145,7 +146,7 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     grid = _grid_points_from_env()
     try:
-        results = run_suite(args.suite, grid_points=grid)
+        results = verify.run_suite(args.suite, grid_points=grid)
     except VerificationError as exc:
         print(f"FAIL  {exc}")
         return EXIT_VERIFY_FAIL
@@ -188,8 +189,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_crossover(args: argparse.Namespace) -> int:
     spec_a = parse_bound_spec(args.a)
     spec_b = parse_bound_spec(args.b)
-    result = find_crossover(spec_a, spec_b)
-    if isinstance(result, CrossoverResult):
+    result = verify.find_crossover(spec_a, spec_b)
+    if isinstance(result, verify.CrossoverResult):
         print(f"crossover: r*={result.r_cross:.12f}  delta={result.delta:.12f}  "
               f"better near r=1: {result.better_near_one.label}")
     else:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the names of the
+verification suites, which the CLI parser reads without importing `verify`."""
+
+SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
 
 
 class EllipBoundsError(Exception):

@@ -12,7 +12,7 @@ Near r = 0 the auxiliary functions combine K and E in ways that cancel
 catastrophically (E - r'^2 K and K - E vanish like r^2, E^2 - r'^2 K^2 like
 r^4).  Each such combination therefore switches to its Maclaurin series below
 a cutoff; the coefficients are generated exactly from the hypergeometric
-series of K and E at import time.
+series of K and E when the module executes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .bounds import (
     thm12_upper_threshold,
 )
 from .core import HALF_PI, Modulus, _HUGE, _agm_ke, _complement, _float, _radius, _row
-from .errors import ConfigurationError, DomainError, VerificationError
+from .errors import SUITE_NAMES, ConfigurationError, DomainError, VerificationError
 
 __all__ = [
     "Direction",
@@ -822,9 +822,6 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
         else:
             out.append(_check(name, False, "no crossover found"))
     return out
-
-
-SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:

@@ -385,3 +385,83 @@ def test_console_module_invocation():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "1.467462209339427\n"
+
+
+# the public names the package serves from ellipbounds.verify
+VERIFY_NAMES = ["CheckResult", "CrossoverResult", "Direction", "MonotoneReport", "NoCrossover",
+                "SignCase", "SignCaseReport", "find_crossover", "lemma22_function", "lemma23_g",
+                "lemma24_h", "lemma25_check", "lemma26_classify", "lemma26_f", "lemma27_F",
+                "run_suite", "search_violation", "sweep_monotone"]
+
+# true while ellipbounds.verify is registered but its code has not run
+UNEXECUTED = ('type(sys.modules["ellipbounds.verify"]) is not types.ModuleType'
+              ' and "fractions" not in sys.modules')
+
+
+def run_fresh(code, env=None):
+    """Run `code` in a fresh interpreter on this checkout's src/; its stdout."""
+    full_env = {k: v for k, v in os.environ.items() if k != "ELLIP_GRID_POINTS"}
+    full_env.update(env or {}, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=full_env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyVerify:
+    def test_computing_leaves_verify_unexecuted(self, tmp_path):
+        table = str(tmp_path / "table.csv")
+        out = run_fresh(f"""
+import contextlib, io, sys, types
+import ellipbounds.cli
+states = [{UNEXECUTED}]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv, code in [(["eval", "--what", "E", "--r", "0.5"], 0),
+                       (["enclose", "--r", "0.5", "--families", "all"], 0),
+                       (["compare", "--start", "0.1", "--end", "0.9", "--points", "5",
+                         "--families", "all", "--output", {table!r}], 0),
+                       (["verify", "--suite", "bogus"], 2)]:
+        states.append(ellipbounds.cli.main(argv) == code and {UNEXECUTED})
+print(states)
+""")
+        assert out == "[True, True, True, True, True]\n"
+
+    @pytest.mark.parametrize("touch", [
+        "ellipbounds.run_suite",
+        # grid 1 is below every scan's minimum: run_suite raises, the command exits 2
+        'ellipbounds.cli.main(["verify", "--suite", "all"])',
+    ])
+    def test_first_use_executes_verify(self, touch):
+        out = run_fresh(f"""
+import sys, types
+import ellipbounds.cli
+before = {UNEXECUTED}
+{touch}
+after = {UNEXECUTED}
+import ellipbounds.verify as verify
+same = [getattr(ellipbounds, name) is getattr(verify, name) for name in {VERIFY_NAMES!r}]
+print(before, after, type(verify) is types.ModuleType, all(same), len(same))
+""", env={"ELLIP_GRID_POINTS": "1"})
+        assert out == "True False True True 18\n"
+
+    def test_dir_star_import_and_missing_names(self):
+        import ellipbounds
+        assert set(VERIFY_NAMES) <= set(dir(ellipbounds))
+        star = {}
+        exec("from ellipbounds import *", star)
+        assert set(VERIFY_NAMES) <= set(star)
+        with pytest.raises(AttributeError, match="^module 'ellipbounds' has no attribute 'nope'$"):
+            ellipbounds.nope
+
+    def test_patched_run_suite_is_seen(self, monkeypatch, capsys):
+        import ellipbounds.verify
+        from ellipbounds.verify import CheckResult
+
+        def fake(name, grid_points):
+            return [CheckResult("patched", True, f"suite={name}")]
+
+        monkeypatch.setattr(ellipbounds.verify, "run_suite", fake)
+        code, out, _ = run(capsys, ["verify", "--suite", "all"], env={"ELLIP_GRID_POINTS": "1000"})
+        assert code == 0
+        assert out.splitlines()[0].split() == ["PASS", "patched", "suite=all"]
+        assert out.splitlines()[1] == "1/1 checks passed (suite=all, grid=1000)"
