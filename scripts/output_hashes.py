@@ -23,9 +23,10 @@ at r = 1 (exactly 1), of K at r = 1 (exit 2, divergence) and of E at r = 1.5
 (exit 2, the [0, 1] message), `enclose` at r = 1 (exit 2, the open-interval
 message), and `eval` of the perimeter at r = 1e-300 and of the Toader mean
 of 1 and 1e-300, whose complement radius rounds to 1, where E(1) = 1.
-The parser's own output closes the list: `--help`, `verify --help` and
+The parser's own output follows: `--help`, `verify --help` and
 `verify --suite bogus` (exit 2), whose suite names the parser reads without
-running `verify`.
+running `verify`.  The last two are `eval` with a missing argument, which
+`main` reports (exit 2): the Toader mean without `--b` and E without `--r`.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -89,6 +90,8 @@ OUTPUTS = [
     ("--help", {}, ["--help"], "streams"),
     ("verify --help", {}, ["verify", "--help"], "streams"),
     ("verify --suite bogus (exit 2)", {}, ["verify", "--suite", "bogus"], "streams"),
+    ("eval toader, no --b (exit 2)", {}, ["eval", "--what", "toader", "--a", "2"], "streams"),
+    ("eval E, no --r (exit 2)", {}, ["eval", "--what", "E"], "streams"),
 ]
 
 

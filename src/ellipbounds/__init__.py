@@ -58,12 +58,14 @@ from .errors import (
     VerificationError,
 )
 
-# LazyLoader puts the module in sys.modules now, so every import of it and
-# every lookup there finds it, and runs its code on the first attribute access.
-_spec = _util.find_spec(f"{__name__}.verify")
-_spec.loader = _util.LazyLoader(_spec.loader)
-verify = _sys.modules[_spec.name] = _util.module_from_spec(_spec)
-_spec.loader.exec_module(verify)
+# LazyLoader puts the module in sys.modules now (a reload keeps the one there),
+# so every import and lookup finds it, and it runs on the first attribute access.
+verify = _sys.modules.get(f"{__name__}.verify")
+if verify is None:
+    _spec = _util.find_spec(f"{__name__}.verify")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    verify = _sys.modules[_spec.name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(verify)
 
 _VERIFY_NAMES = (
     "CheckResult", "CrossoverResult", "Direction", "MonotoneReport", "NoCrossover", "SignCase",

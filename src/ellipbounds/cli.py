@@ -116,13 +116,11 @@ def _parse_families(items: list[str]) -> list[BoundSpec]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.what == "toader":
         if args.a is None or args.b is None:
-            _err("--what toader needs --a and --b")
-            return EXIT_USAGE
+            raise ConfigurationError("--what toader needs --a and --b")
         value = toader_mean(args.a, args.b)
     else:
         if args.r is None:
-            _err(f"--what {args.what} needs --r")
-            return EXIT_USAGE
+            raise ConfigurationError(f"--what {args.what} needs --r")
         value = {"K": complete_k, "E": complete_e, "perimeter": ellipse_perimeter}[args.what](args.r)
     print(f"{value:.15f}")
     return EXIT_OK
@@ -132,24 +130,19 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
     specs = _parse_families(args.families)
     enc = best_enclosure(args.r, specs)
     e_ref = complete_e(args.r)
-    width = enc.hi - enc.lo
-    position = (e_ref - enc.lo) / width if width > 0.0 else math.nan
+    position = (e_ref - enc.lo) / enc.width if enc.width > 0.0 else math.nan
     print(f"r         {args.r:.17g}")
     print(f"lo        {enc.lo:.17g}  source={enc.lo_source.label}")
     print(f"hi        {enc.hi:.17g}  source={enc.hi_source.label}")
     print(f"e_ref     {e_ref:.17g}")
-    print(f"width     {width:.17g}")
+    print(f"width     {enc.width:.17g}")
     print(f"position  {position:.17g}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     grid = _grid_points_from_env()
-    try:
-        results = verify.run_suite(args.suite, grid_points=grid)
-    except VerificationError as exc:
-        print(f"FAIL  {exc}")
-        return EXIT_VERIFY_FAIL
+    results = verify.run_suite(args.suite, grid_points=grid)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status}  {res.name:<48s}  {res.detail}")
@@ -164,13 +157,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     specs = _parse_families(args.families)
     header = ["r", "e_ref"] + [s.label for s in specs] + ["best_lo", "best_hi"]
     rs = grid.values()
-    # check every radius and the candidates (first row first, as best_enclosure
-    # would) before the file is opened, so a usage error leaves it untouched
-    _radius(rs[0], True)
-    split = _split(specs)
+    # check every radius, then the candidates (best_enclosure's order on each
+    # row), before the file is opened, so a usage error leaves it untouched
     for r in rs:
         if not 0.0 < r < 1.0:
             _radius(r, True)
+    split = _split(specs)
     # labels may hold commas; no %.17g float (nan, inf too) needs quoting
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     try:

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from ellipbounds import (
+    DomainError,
     EllipBoundsError,
+    VerificationError,
     best_enclosure,
     complete_e,
     default_candidates,
@@ -86,6 +88,14 @@ class TestEval:
         assert code == 2
         assert "--a" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--what", "toader", "--a", "2"], "--what toader needs --a and --b"),
+        (["--what", "E"], "--what E needs --r"),
+    ])
+    def test_missing_argument_message(self, capsys, argv, message):
+        code, out, err = run(capsys, ["eval", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestEnclose:
     def test_all_families_contains_reference(self, capsys):
@@ -155,6 +165,16 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "nonsense"])
         assert code == 2
+
+    def test_verification_error_on_stderr(self, monkeypatch, capsys):
+        import ellipbounds.verify
+
+        def fail(name, grid_points):
+            raise VerificationError("x")
+
+        monkeypatch.setattr(ellipbounds.verify, "run_suite", fail)
+        code, out, err = run(capsys, ["verify", "--suite", "all"])
+        assert (code, out, err) == (1, "", "error: verification failure: x\n")
 
 
 class TestCompare:
@@ -236,6 +256,16 @@ class TestCompare:
         assert code == 2
         assert "open interval" in err
         assert out_path.read_text() == "earlier contents\n"
+
+    def test_radii_checked_before_candidates(self, tmp_path, capsys):
+        # as best_enclosure does on the row r = 1: the radius fails before the spec
+        with pytest.raises(DomainError) as exc:
+            best_enclosure(1.0, [parse_bound_spec("thm11:q=0.12")])
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, ["compare", "--start", "0.5", "--end", "1", "--points", "3",
+                                      "--families", "thm11:q=0.12", "--output", str(out_path)])
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("start", ["5e-324", "1e-300", repr(2.0**-54)])
     def test_log_near_one_start_lost_in_one_minus_start(self, tmp_path, capsys, start):
@@ -443,6 +473,23 @@ same = [getattr(ellipbounds, name) is getattr(verify, name) for name in {VERIFY_
 print(before, after, type(verify) is types.ModuleType, all(same), len(same))
 """, env={"ELLIP_GRID_POINTS": "1"})
         assert out == "True False True True 18\n"
+
+    def test_reload_keeps_one_verify(self):
+        # a reload before first use and one after it; each keeps the one module
+        out = run_fresh(f"""
+import importlib, sys, types
+import ellipbounds, ellipbounds.cli
+first = sys.modules["ellipbounds.verify"]
+states = []
+for _ in range(2):
+    importlib.reload(ellipbounds)
+    states.append({UNEXECUTED})
+    states += [sys.modules["ellipbounds.verify"] is first, ellipbounds.cli.verify is first,
+               ellipbounds.verify is first,
+               ellipbounds.CheckResult is first.CheckResult is ellipbounds.cli.verify.CheckResult]
+print(states)
+""")
+        assert out == "[True, True, True, True, True, False, True, True, True, True]\n"
 
     def test_dir_star_import_and_missing_names(self):
         import ellipbounds

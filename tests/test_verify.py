@@ -613,6 +613,24 @@ class TestSuites:
         assert len(results) == 5
         assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
+    def test_lemma_suite_sweeps_every_id(self, monkeypatch):
+        swept, real = [], ellipbounds.verify.sweep_monotone
+        monkeypatch.setattr(ellipbounds.verify, "sweep_monotone",
+                            lambda fn, *args: swept.append(fn) or real(fn, *args))
+        run_lemma_suite(1000)
+        assert sorted(set(swept)) == sorted(sweep_ids())
+
+    def test_falsifier_plan_covers_every_sharp_constant(self):
+        # one falsifier per parametric default: same family and other
+        # parameters, the sharp constant moved 1e-3 into the gap, same claimed side
+        into_gap = {Side.LOWER: 1e-3, Side.UPPER: -1e-3}
+        expected = sorted((s.family.value, s._args[0] + into_gap[s.side], s._args[1:], s.side.value)
+                          for s in default_candidates() if s.q is not None or s.t is not None)
+        plan = sorted((spec.family.value, spec._args[0], spec._args[1:], side.value)
+                      for _, spec, side in _falsifier_plan())
+        assert plan == expected
+        assert all(spec.side is Side.INVALID for _, spec, _ in _falsifier_plan())
+
     def test_run_suite_dispatch(self):
         assert len(run_suite("all", grid_points=1000)) == 42
         with pytest.raises(ConfigurationError):
