@@ -27,6 +27,9 @@ The parser's own output follows: `--help`, `verify --help` and
 `verify --suite bogus` (exit 2), whose suite names the parser reads without
 running `verify`.  The last two are `eval` with a missing argument, which
 `main` reports (exit 2): the Toader mean without `--b` and E without `--r`.
+The last three reach the one parameter check, each exiting 2: `eval` of the
+perimeter at r = 1.5 (the aspect ratio), `enclose` with thm11 at q = 0.7
+and `crossover` of thm12 at p = 3 with vuorinen.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -92,6 +95,11 @@ OUTPUTS = [
     ("verify --suite bogus (exit 2)", {}, ["verify", "--suite", "bogus"], "streams"),
     ("eval toader, no --b (exit 2)", {}, ["eval", "--what", "toader", "--a", "2"], "streams"),
     ("eval E, no --r (exit 2)", {}, ["eval", "--what", "E"], "streams"),
+    ("eval perimeter r=1.5 (exit 2)", {}, ["eval", "--what", "perimeter", "--r", "1.5"], "streams"),
+    ("enclose thm11 q=0.7 (exit 2)", {}, ["enclose", "--r", "0.5", "--families", "thm11:q=0.7"],
+     "streams"),
+    ("crossover thm12 p=3 (exit 2)", {}, ["crossover", "--a", "thm12:t=0.95,p=3", "--b", "vuorinen"],
+     "streams"),
 ]
 
 

@@ -40,8 +40,8 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _float, _radius
-from .errors import ConfigurationError, DomainError, InvalidBoundError
+from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _param, _radius
+from .errors import ConfigurationError, InvalidBoundError
 
 __all__ = [
     "BETA_STAR",
@@ -116,22 +116,6 @@ def thm12_lower_threshold(p: float) -> float:
 def thm12_upper_threshold(p: float) -> float:
     """Smallest t for which the t-parametrised family is an upper bound."""
     return 0.5 + math.sqrt(_u_thresholds(_param("p", p))[1]) / 2.0
-
-
-# (low, high, low end open) per parameter name; u is the lemma 2.6 parameter
-_RANGES = {"q": (0.0, 0.5, True), "t": (0.5, 1.0, False), "p": (0.5, 2.0, False),
-           "u": (0.0, 1.0, False)}
-
-
-def _param(name: str, value: float) -> float:
-    """``float(value)``, or DomainError if it lies outside the range of
-    parameter ``name``."""
-    lo, hi, lo_open = _RANGES[name]
-    x = _float(value)
-    if not ((lo < x if lo_open else lo <= x) and x <= hi):
-        left = "(" if lo_open else "["
-        raise DomainError(f"{name} must lie in {left}{lo:g}, {hi:g}], got {value!r}")
-    return x
 
 
 # Kernels: one flop sequence per distinct closed form, on (*args, r, r') with r in

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from enum import Enum
 
 from . import verify
 from .bounds import BoundSpec, _columns, _split, best_enclosure, default_candidates, parse_bound_spec
-from .core import _float, _radius, complete_e, complete_k, ellipse_perimeter, toader_mean
+from .core import _float, _radius, _size, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
     SUITE_NAMES,
     ConfigurationError,
@@ -65,8 +64,7 @@ class GridSpec:
             raise DomainError(f"need 0 <= start < end <= 1, got [{self.start!r}, {self.end!r}]")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
-        if not isinstance(self.points, numbers.Integral) or self.points < 2:
-            raise DomainError(f"grid needs at least 2 points, got {self.points!r}")
+        object.__setattr__(self, "points", _size(self.points))
         if self.spacing is Spacing.LOG_NEAR_ONE and self.end >= 1.0:
             raise DomainError("log-near-one spacing needs end < 1")
         # 1 - start rounds to 1 there, and the first point would be r = 0

@@ -14,10 +14,11 @@ dataclasses, so results can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DivergenceError, DomainError
+from .errors import ConfigurationError, DivergenceError, DomainError
 
 __all__ = [
     "HALF_PI",
@@ -68,6 +69,34 @@ def _radius(value: object, open_: bool = False) -> float:
         raise DomainError(f"defined on the open interval (0, 1) only, got r={r!r}; "
                           "use the analytic limit values at the endpoints")
     return r
+
+
+# (low, high, low end open, high end open) per parameter, keyed by the name its
+# message starts with; the lemma 2.4 exponent stops at _HUGE / 8, up to which h
+# (< 4.21 p on (0, 1)), 4p and 4p - 1 stay finite
+_RANGES = {"q": (0.0, 0.5, True, False), "t": (0.5, 1.0, False, False), "p": (0.5, 2.0, False, False),
+           "u": (0.0, 1.0, False, False), "lemma 2.4 exponent p": (0.5, _HUGE / 8.0, False, False),
+           "ellipse aspect ratio": (0.0, 1.0, True, True), "step size": (0.0, 1e-3, True, False)}
+
+
+def _param(name: str, value: object) -> float:
+    # float(value), or DomainError if it lies outside the range of parameter name
+    lo, hi, lo_open, hi_open = _RANGES[name]
+    x = _float(value)
+    if not ((lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+        raise DomainError(f"{name} must lie in {'(' if lo_open else '['}{lo:.17g}, "
+                          f"{hi:.17g}{')' if hi_open else ']'}, got {value!r}")
+    return x
+
+
+def _size(n: object, least: int = 2, what: str = "grid needs") -> int:
+    # the one check on a grid size, made before any table lookup; what starts
+    # the message for a size below least
+    if not isinstance(n, numbers.Integral):
+        raise ConfigurationError(f"grid size must be an integer, got {n!r}")
+    if n < least:
+        raise ConfigurationError(f"{what} at least {least} points, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -190,10 +219,7 @@ def ellipse_perimeter(r: float) -> float:
     Defined for r in (0, 1); the value decreases from 2 pi (circle, r -> 1)
     to 4 (degenerate segment, r -> 0).
     """
-    x = _float(r)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"ellipse aspect ratio must lie in (0, 1), got {r!r}")
-    return 4.0 * complete_e(_complement(x))
+    return 4.0 * complete_e(_complement(_param("ellipse aspect ratio", r)))
 
 
 def toader_mean(a: float, b: float) -> float:
@@ -236,9 +262,7 @@ def derivative_residuals(m: Modulus | float, h: float = 1e-5) -> DerivativeResid
     against central differences with step h.  Each residual is O(h^2).
     """
     r = _radius(m)
-    h = _float(h)
-    if not (0.0 < h <= 1e-3):
-        raise DomainError(f"step size must lie in (0, 1e-3], got {h!r}")
+    h = _param("step size", h)
     inv2h = 1.0 / (2.0 * h)
     # a step below half an ulp of r leaves r +/- h at r, and one below
     # ~2.8e-309 overflows 1/(2h): the differences would be 0 * inf = nan

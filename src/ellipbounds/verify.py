@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,14 +35,13 @@ from .bounds import (
     BoundSpec,
     Family,
     Side,
-    _param,
     _u_thresholds,
     default_candidates,
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _HUGE, _agm_ke, _complement, _float, _radius, _row
-from .errors import SUITE_NAMES, ConfigurationError, DomainError, VerificationError
+from .core import HALF_PI, Modulus, _agm_ke, _complement, _param, _radius, _row, _size
+from .errors import SUITE_NAMES, ConfigurationError, VerificationError
 
 __all__ = [
     "Direction",
@@ -79,6 +77,8 @@ _GRID_EPS = 1e-6
 _MONOTONE_TOL = 1e-12
 _VALIDITY_SLACK = 1e-13
 _SIGN_TOL = 5e-15
+# the exponents p at which the lemma suite sweeps h and samples the lemma 2.6 cases
+_P_SAMPLE = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 # Series cutoffs: combinations with an r^2 leading term lose ~eps/r^2 of
 # absolute accuracy when evaluated directly, combinations with an r^4 leading
@@ -97,16 +97,6 @@ def _radii(n: int) -> tuple[array, array]:
     # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
     rs = array("d", grid_open_unit(n))
     return rs, array("d", map(_complement, rs))
-
-
-def _size(n: int, least: int = 2, what: str = "grid needs") -> int:
-    # the one check on a grid size, made before any table lookup; what starts
-    # the message for a size below least
-    if not isinstance(n, numbers.Integral):
-        raise ConfigurationError(f"grid size must be an integer, got {n!r}")
-    if n < least:
-        raise ConfigurationError(f"{what} at least {least} points, got {n!r}")
-    return int(n)
 
 
 # three entries: one "all" run scans three grids, its own, 256 and 1000 points
@@ -242,14 +232,6 @@ def _l27_F(r: float, rc: float, k: float, e: float) -> float:
     # the bracket of F is 1 - J / pi^2 with J the lemma 2.2 part (7) function
     big_w = _wmh(r, rc, k, e) + HALF_PI
     return big_w * big_w * (1.0 - _l22_7(r, rc, k, e) / (_PI * _PI))
-
-
-def _h_exponent(p: float) -> float:
-    x = _float(p)
-    # h < 4.21 p on (0, 1), so up to this cap h, 4p and 4p - 1 stay finite
-    if not 0.5 <= x <= _HUGE / 8.0:
-        raise DomainError(f"p must lie in [0.5, {_HUGE / 8.0!r}], got {p!r}")
-    return x
 
 
 # Below this radius r^2 < 1e-80, so every swept function equals its claimed
@@ -441,7 +423,7 @@ _SWEEPS: dict[str, _SweepDef] = {
     "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI * _PI / 2.0, 16.0 - _PI * _PI, "rc2", 1e-3),
     "lemma23_g": _SweepDef(_l23_g, Direction.INCREASING, 1.5, math.inf, None, 1e-2),
     "lemma24_h": _SweepDef(_l24_h, Direction.DECREASING, lambda p: 4.0 * p, lambda p: 4.0 * p - 1.0,
-                           "rc2", 1e-3, {"p": _h_exponent}),
+                           "rc2", 1e-3, {"p": functools.partial(_param, "lemma 2.4 exponent p")}),
     "lemma27_F": _SweepDef(_l27_F, Direction.INCREASING,
                            _PI * _PI / 8.0, 8.0 * (_PI * _PI - 8.0) / (_PI * _PI), "rc2", 1e-3),
 }
@@ -569,7 +551,7 @@ def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
     """A 20 x 5 (u, p) sample spanning all four proof-case regions,
     boundaries included."""
     out = []
-    for p in (0.5, 0.75, 1.0, 1.5, 2.0):
+    for p in _P_SAMPLE:
         u1, u2 = _u_thresholds(p)
         u3 = min(1.0, 1.0 / (4.0 * p - 1.0))
         us = [u1 * s for s in (0.05, 0.25, 0.5, 0.75, 0.9, 1.0)]
@@ -712,13 +694,12 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     table, the two-sided threshold inequality on a p-grid, and the sign-case
     classification sample on one shared 256-point table."""
     out: list[CheckResult] = []
-    plan = [("lemma22_%d" % i, None) for i in range(1, 8)]
-    plan.append(("lemma23_g", None))
-    plan += [("lemma24_h", {"p": p}) for p in (0.5, 0.75, 1.0, 1.5, 2.0)]
-    plan.append(("lemma27_F", None))
-    for fn, params in plan:
+    # every sweep in table order, h once per sampled exponent p
+    plan = [(fn, sd, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
+            for p in (_P_SAMPLE if sd.params else [None])]
+    for fn, sd, params in plan:
         rep = sweep_monotone(fn, grid_points, params)
-        tol, divergent = _SWEEPS[fn].tol, rep.divergent_right
+        tol, divergent = sd.tol, rep.divergent_right
         ok = rep.worst_violation == 0.0 and rep.left_error <= tol and (divergent or rep.right_error <= tol)
         right = {} if divergent else {"right_err": rep.right_error}
         out.append(_check(rep.name, ok, _SWEEP[divergent], dir=rep.direction.value,

@@ -158,11 +158,22 @@ def test_hostile_grid(name, n):
     outcome(lambda: GRID_CALLS[name](n))
 
 
-@pytest.mark.parametrize("bad", [{"points": 2.5}, {"points": None}, {"points": True},
-                                 {"start": "a"}, {"end": None}], ids=repr)
+@pytest.mark.parametrize("bad", [{"start": "a"}, {"end": None}], ids=repr)
 def test_grid_spec_raises_domain_error(bad):
     with pytest.raises(eb.DomainError):
         GridSpec(**{"start": 0.1, "end": 0.5, "points": 11, **bad})
+
+
+# GridSpec checks its size with core._size, as every verify grid does
+@pytest.mark.parametrize("points, message", [
+    (2.5, "grid size must be an integer, got 2.5"),
+    (None, "grid size must be an integer, got None"),
+    (True, "grid needs at least 2 points, got True"),
+], ids=["2.5", "None", "True"])
+def test_grid_spec_points_raise_configuration_error(points, message):
+    with pytest.raises(eb.ConfigurationError) as exc:
+        GridSpec(0.1, 0.5, points)
+    assert str(exc.value) == message
 
 
 @given(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=3)))

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -17,8 +18,14 @@ from ellipbounds import (
     ellipse_perimeter,
     elliptic_ke,
     landen_residual,
+    lemma24_h,
+    lemma26_f,
+    thm11_bound,
+    thm12_bound,
+    thm12_lower_threshold,
     toader_mean,
 )
+from ellipbounds.core import _RANGES, _param
 from oracles import mp_agm, quad_e, quad_k
 
 HALF_PI = math.pi / 2.0
@@ -341,3 +348,56 @@ class TestLandenResidual:
     def test_domain(self):
         with pytest.raises(DomainError):
             landen_residual(0.0)
+
+
+# --------------------------------------------------------------------------
+# core._param, the one check on a bounded real parameter: every row of
+# core._RANGES, at its ends, one ulp outside them and at non-numbers.
+
+def _rejected(name, value):
+    """_param(name, value) raises a DomainError whose message states the
+    row's interval exactly and the value as given."""
+    lo, hi, lo_open, hi_open = _RANGES[name]
+    with pytest.raises(DomainError) as exc:
+        _param(name, value)
+    m = re.fullmatch(r"(.+) must lie in ([\[(])(\S+), (\S+)([\])]), got (.+)", str(exc.value))
+    assert m is not None, str(exc.value)
+    assert m.group(1, 2, 5, 6) == (name, "(" if lo_open else "[", ")" if hi_open else "]", repr(value))
+    assert (float(m.group(3)), float(m.group(4))) == (lo, hi)
+
+
+@pytest.mark.parametrize("name", _RANGES)
+def test_param_ends(name):
+    lo, hi, lo_open, hi_open = _RANGES[name]
+    for end, is_open, outward in ((lo, lo_open, -math.inf), (hi, hi_open, math.inf)):
+        if is_open:
+            _rejected(name, end)
+        else:
+            assert _param(name, end) == end
+        _rejected(name, math.nextafter(end, outward))
+    assert _param(name, math.nextafter(lo, hi)) == math.nextafter(lo, hi)
+    assert _param(name, math.nextafter(hi, lo)) == math.nextafter(hi, lo)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "x"], ids=repr)
+@pytest.mark.parametrize("name", _RANGES)
+def test_param_rejects_non_finite_and_non_numbers(name, value):
+    _rejected(name, value)
+
+
+# each public call's message, as the user sees it; the step size and the
+# lemma 2.4 exponent messages print the row's ends with %.17g
+@pytest.mark.parametrize("call, message", [
+    (lambda: derivative_residuals(0.5, h=0.1), "step size must lie in (0, 0.001], got 0.1"),
+    (lambda: lemma24_h(0.5, 0.3),
+     "lemma 2.4 exponent p must lie in [0.5, 2.2471164185778946e+307], got 0.3"),
+    (lambda: ellipse_perimeter(1.5), "ellipse aspect ratio must lie in (0, 1), got 1.5"),
+    (lambda: thm11_bound(0.5, 0.7), "q must lie in (0, 0.5], got 0.7"),
+    (lambda: thm12_bound(0.5, 0.4, 1.0), "t must lie in [0.5, 1], got 0.4"),
+    (lambda: thm12_lower_threshold(3), "p must lie in [0.5, 2], got 3"),
+    (lambda: lemma26_f(0.5, 1.5, 1.0), "u must lie in [0, 1], got 1.5"),
+], ids=["step", "lemma24 p", "aspect", "q", "t", "p", "u"])
+def test_param_messages(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
