@@ -2,34 +2,12 @@
 """Print the sha256 of the deterministic outputs that must stay byte-identical
 across refactors.
 
-The first four are `verify --suite all` stdout at ELLIP_GRID_POINTS=2000 and
-at the default grid, and two `compare` CSVs (uniform and log-near-one
-spacing) over the same family list.  The next four are `verify` stdout for
-each single suite at ELLIP_GRID_POINTS=2000, which builds its own grid
-tables, and for `--suite all` at ELLIP_GRID_POINTS=1000, where the sweep
-grid and the 1000-point falsifier grid are one table.  The rest hash stdout,
-stderr and the exit code together: `enclose --families all` at three radii (the middle, a
-tiny r and the largest double below 1), `crossover` on the two remark pairs
-and on a pair without a crossover, `eval` of the perimeter and the Toader
-mean, `compare` with r = 0 on its grid, which exits 2, `verify --suite all`
-at ELLIP_GRID_POINTS=1, which exits 2, `crossover` of a bound with itself,
-which exits 1, and `crossover` of an invalid thm11 spec with vuorinen, whose
-root comes from the float bisection.  The last two are uniform `compare` CSVs
-over the same family list at 2 points and at 513, which `compare` writes as
-two full 256-row chunks and one row, and at 257 points from the smallest
-subnormal to the largest double below 1.  The last six hash stdout, stderr
-and the exit code of the radius check at the public boundary: `eval` of E
-at r = 1 (exactly 1), of K at r = 1 (exit 2, divergence) and of E at r = 1.5
-(exit 2, the [0, 1] message), `enclose` at r = 1 (exit 2, the open-interval
-message), and `eval` of the perimeter at r = 1e-300 and of the Toader mean
-of 1 and 1e-300, whose complement radius rounds to 1, where E(1) = 1.
-The parser's own output follows: `--help`, `verify --help` and
-`verify --suite bogus` (exit 2), whose suite names the parser reads without
-running `verify`.  The last two are `eval` with a missing argument, which
-`main` reports (exit 2): the Toader mean without `--b` and E without `--r`.
-The last three reach the one parameter check, each exiting 2: `eval` of the
-perimeter at r = 1.5 (the aspect ratio), `enclose` with thm11 at q = 0.7
-and `crossover` of thm12 at p = 3 with vuorinen.
+`OUTPUTS` below is the list: each entry is a name, the environment it adds,
+the CLI arguments, and what is hashed.  `stdout` hashes what the command
+prints, `csv` the table a `compare` writes (both require exit 0), and
+`streams` hashes stdout, stderr and the exit code together, for the runs
+whose messages and failures must stay the same.  The script prints each
+entry's name next to its hash.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -50,8 +28,7 @@ from pathlib import Path
 FAMILIES = ["all", "thm11:q=0.05", "thm12:t=0.95,p=1.5", "thm12-upper:p=0.75",
             "thm11-lower", "barnard"]
 
-# (name, extra environment, CLI arguments, what to hash: the CSV file, stdout,
-# or stdout + stderr + exit code)
+# (name, extra environment, CLI arguments, what to hash)
 OUTPUTS = [
     ("verify all, grid 2000", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", "all"], "stdout"),
     ("verify all, default grid", {}, ["verify", "--suite", "all"], "stdout"),

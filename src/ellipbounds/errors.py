@@ -1,6 +1,9 @@
 """Exception types shared across the package, and the names of the
 verification suites, which the CLI parser reads without importing `verify`."""
 
+__all__ = ["SUITE_NAMES", "EllipBoundsError", "DomainError", "DivergenceError",
+           "InvalidBoundError", "ConfigurationError", "VerificationError"]
+
 SUITE_NAMES = ("lemmas", "sharpness", "remarks", "all")
 
 

@@ -382,8 +382,6 @@ def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[
     elif model == "r34log":
         # r'^(3/4) (K - E) behaviour: basis {1, v, v log v} in v = r'^(3/4)
         basis = [(v, v * math.log(v)) for v in (w ** 0.375 for w in ws)]
-    else:
-        raise ConfigurationError(f"unknown extrapolation model {model!r}")
     # the fit is linear in fs: past 2^500 (h at p near 2^1020) scale them by
     # a power of two, so that the elimination cannot overflow to inf - inf
     top = max(map(abs, fs))
@@ -624,12 +622,12 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     )
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, iters: int = 60) -> tuple[float, float]:
+def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

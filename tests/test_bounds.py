@@ -288,8 +288,17 @@ class TestQMean:
         assert math.isfinite(v)
         assert min(a, b) * (1.0 - 1e-15) <= v <= max(a, b) * max(1.0, 2.0 ** (p - 1.0)) * (1.0 + 1e-15)
 
+    def test_overflow_is_inf(self):
+        # for p > 1 the mean exceeds max(a, b) by up to 2^(p-1): past the double range it is inf
+        assert q_mean(1.7e308, 1e-300, 1.0, 2.0) == math.inf
+
 
 class TestBoundSpecSide:
+    def test_unknown_family(self):
+        # families are Family members; their text is parsed by parse_bound_spec
+        with pytest.raises(ConfigurationError, match="^unknown bound family 'thm11'$"):
+            BoundSpec("thm11", q=0.1)
+
     def test_thm11_classification(self):
         assert BoundSpec(Family.THM11, q=BETA_STAR).side is Side.LOWER
         assert BoundSpec(Family.THM11, q=BETA_STAR + 1e-15).side is Side.INVALID

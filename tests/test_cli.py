@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -95,6 +96,19 @@ class TestEval:
     def test_missing_argument_message(self, capsys, argv, message):
         code, out, err = run(capsys, ["eval", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # the last two rows of main's exit-code table, which no shipped input reaches
+    @pytest.mark.parametrize("exc,err,code", [
+        (OSError("disk gone"), "error: I/O failure: disk gone\n", 4),
+        (ArithmeticError("nan"), "error: internal numerical error: nan\n", 3),
+        (EllipBoundsError("bare"), "error: internal numerical error: bare\n", 3),
+    ], ids=["OSError", "ArithmeticError", "EllipBoundsError"])
+    def test_unexpected_error_exit_codes(self, monkeypatch, capsys, exc, err, code):
+        def fail(r):
+            raise exc
+
+        monkeypatch.setattr("ellipbounds.cli.complete_e", fail)
+        assert run(capsys, ["eval", "--what", "E", "--r", "0.5"]) == (code, "", err)
 
 
 class TestEnclose:
@@ -512,3 +526,30 @@ print(states)
         assert code == 0
         assert out.splitlines()[0].split() == ["PASS", "patched", "suite=all"]
         assert out.splitlines()[1] == "1/1 checks passed (suite=all, grid=1000)"
+
+
+class TestPackageRoot:
+    @pytest.mark.parametrize("module", ["core", "bounds", "errors", "verify"])
+    def test_serves_every_public_name(self, module):
+        import ellipbounds
+        mod = importlib.import_module(f"ellipbounds.{module}")
+        public, listed = set(ellipbounds.__all__), set(dir(ellipbounds))
+        for name in mod.__all__:
+            assert name in public and name in listed, name
+            assert getattr(ellipbounds, name) is getattr(mod, name), name
+
+    def test_probes_leave_verify_unexecuted(self):
+        # dunder and private probes answer at once; a missing public name
+        # looks in verify.__all__, which executes verify, and then fails
+        out = run_fresh(f"""
+import sys, types
+import ellipbounds
+states = [getattr(ellipbounds, "__wrapped__", None) is None, {UNEXECUTED},
+          hasattr(ellipbounds, "_private"), {UNEXECUTED}]
+try:
+    ellipbounds.nope
+except AttributeError as exc:
+    states += [str(exc), {UNEXECUTED}]
+print(states)
+""")
+        assert out == "[True, True, False, True, \"module 'ellipbounds' has no attribute 'nope'\", False]\n"
