@@ -2,17 +2,21 @@
 the bound proofs, grid sweeps with endpoint extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
-Every auxiliary function is a pure function of one row (r, r', K, E) of a
-grid table, built with one AGM run per radius and kept in a three-entry cache
-that run_suite empties on entry; every scan maps a row function or a bound
-over a table's columns.  The suites call the public scans, and a public
-function such as lemma23_g(r) evaluates one row the same way.
+A grid's table holds the columns (r, r', K, E), with one AGM run per radius,
+and beside them five derived columns built once per table: the cancelling
+combinations K - E, E - r'^2 K, 2E - r'^2 K - pi/2, (K - E) - (E - r'^2 K)
+and E^2 - r'^2 K^2.  Every auxiliary function is a column function, one list
+comprehension over a table's columns, and a public function such as
+lemma23_g(r) evaluates a one-row table through it.  The bound scans map a
+bound over the columns (r, r', K, E) alone.  Both are kept in three-entry
+caches that run_suite empties on entry.
 
-Near r = 0 the auxiliary functions combine K and E in ways that cancel
-catastrophically (E - r'^2 K and K - E vanish like r^2, E^2 - r'^2 K^2 like
-r^4).  Each such combination therefore switches to its Maclaurin series below
-a cutoff; the coefficients are generated exactly from the hypergeometric
-series of K and E when the module executes.
+Near r = 0 these combinations cancel catastrophically (the first three vanish
+like r^2, the last two like r^4), so each derived column holds its Maclaurin
+series in the rows below its cutoff, split off by bisection on the ascending
+radii, and the direct formula at and above it.  The coefficients are
+generated exactly from the hypergeometric series of K and E when the module
+executes.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -73,6 +78,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_PI2 = _PI * _PI
 _GRID_EPS = 1e-6
 _MONOTONE_TOL = 1e-12
 _VALIDITY_SLACK = 1e-13
@@ -90,33 +96,10 @@ _CUT_R4 = 0.05
 
 
 # --------------------------------------------------------------------------
-# Grid tables: every series block and auxiliary function below is a pure
-# function of one row (r, r', K, E), from core._row (one radius) or _grid_table.
+# Maclaurin coefficients, exact, of the five cancelling combinations in
+# x = r^2, in units of pi/2 ((pi/2)^2 for E^2 - r'^2 K^2).
 
-def _radii(n: int) -> tuple[array, array]:
-    # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
-    rs = array("d", grid_open_unit(n))
-    return rs, array("d", map(_complement, rs))
-
-
-# three entries: one "all" run scans three grids, its own, 256 and 1000 points
-@functools.lru_cache(maxsize=3)
-def _grid_table(n: int) -> tuple:
-    """The rows of the n-point grid_open_unit grid as columns (r, r', K, E)
-    of doubles, for a grid size _size has checked; scans map over its columns."""
-    rs, rcs = _radii(n)
-    ks, es = array("d"), array("d")
-    for k, e in map(_agm_ke, rs, rcs):
-        ks.append(k)
-        es.append(e)
-    return rs, rcs, ks, es
-
-
-# --------------------------------------------------------------------------
-# Maclaurin coefficients, exact.  All tables are in units of (pi/2) except
-# _DD which is in units of (pi/2)^2; the variable is x = r^2.
-
-def _build_series(nmax: int) -> dict[str, list[float]]:
+def _build_series(nmax: int) -> list[list[float]]:
     c = [Fraction(1)]
     for n in range(1, nmax + 1):
         c.append(c[-1] * Fraction((2 * n - 1) ** 2, (2 * n) ** 2))
@@ -132,11 +115,12 @@ def _build_series(nmax: int) -> dict[str, list[float]]:
 
     se2, sk2 = square(e), square(c)
     dd = [se2[n] - sk2[n] + (sk2[n - 1] if n else zero) for n in range(nmax + 1)]
-    return {name: [float(x) for x in tbl] for name, tbl in
-            [("kme", kme), ("emr", emr), ("wmh", wmh), ("d2", d2), ("dd", dd)]}
+    return [[float(x) for x in tbl] for tbl in (kme, emr, wmh, d2, dd)]
 
 
-_TBL = _build_series(8)
+# (cutoff, unit, coefficients) of each cancelling column, in _Table order
+_SERIES = list(zip((_CUT_R2, _CUT_R2, _CUT_R2, _CUT_R4, _CUT_R4),
+                   (HALF_PI, HALF_PI, HALF_PI, HALF_PI, HALF_PI * HALF_PI), _build_series(8)))
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -146,97 +130,120 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _kme(r: float, rc: float, k: float, e: float) -> float:
-    # K - E, vanishes like (pi/4) r^2
-    if r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["kme"], r * r)
-    return k - e
+# --------------------------------------------------------------------------
+# Grid tables: the bound scans read the columns (r, r', K, E) alone, the
+# column functions a table with the cancelling columns beside them.
+
+# the columns r, r', K, E, then K - E, E - r'^2 K and 2E - r'^2 K - pi/2, which
+# vanish like r^2, and (K - E) - (E - r'^2 K) and E^2 - r'^2 K^2, like r^4
+_Table = namedtuple("_Table", "r rc k e kme emr wmh d2 dd")
 
 
-def _emr(r: float, rc: float, k: float, e: float) -> float:
-    # E - r'^2 K, vanishes like (pi/4) r^2
-    if r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["emr"], r * r)
-    return e - rc * rc * k
+def _columns(rs: Sequence[float], rcs: Sequence[float]) -> tuple:
+    # the columns (r, r', K, E) of the ascending radii rs in (0, 1) with their complements rcs
+    ks, es = array("d"), array("d")
+    for k, e in map(_agm_ke, rs, rcs):
+        ks.append(k)
+        es.append(e)
+    return rs, rcs, ks, es
 
 
-def _wmh(r: float, rc: float, k: float, e: float) -> float:
-    # (2E - r'^2 K) - pi/2, vanishes like (pi/8) r^2
-    if r < _CUT_R2:
-        return HALF_PI * _horner(_TBL["wmh"], r * r)
-    return 2.0 * e - rc * rc * k - HALF_PI
+def _table(columns: tuple) -> _Table:
+    # (r, r', K, E) and the cancelling columns: each directly on every row (d2 from the direct
+    # kme and emr), then in the rows below its cutoff (r < cutoff exactly) from its series
+    rs, rcs, ks, es = columns
+    rrk = [rc * rc * k for rc, k in zip(rcs, ks)]
+    kme = array("d", [k - e for k, e in zip(ks, es)])
+    emr = array("d", [e - x for e, x in zip(es, rrk)])
+    cols = (kme, emr, array("d", [2.0 * e - x - HALF_PI for e, x in zip(es, rrk)]),
+            array("d", [a - b for a, b in zip(kme, emr)]),
+            array("d", [e * e - x * k for e, x, k in zip(es, rrk, ks)]))
+    for col, (cut, unit, coeffs) in zip(cols, _SERIES):
+        for i in range(bisect_left(rs, cut)):
+            col[i] = unit * _horner(coeffs, rs[i] * rs[i])
+    return _Table(*columns, *cols)
 
 
-def _d2(r: float, rc: float, k: float, e: float) -> float:
-    # (K - E) - (E - r'^2 K), vanishes like (pi/16) r^4
-    if r < _CUT_R4:
-        return HALF_PI * _horner(_TBL["d2"], r * r)
-    return (k - e) - (e - rc * rc * k)
+def _radii(n: int) -> tuple[array, array]:
+    # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
+    rs = array("d", grid_open_unit(n))
+    return rs, array("d", map(_complement, rs))
 
 
-def _dd(r: float, rc: float, k: float, e: float) -> float:
-    # E^2 - r'^2 K^2, vanishes like (pi/2)^2 r^4 / 8
-    if r < _CUT_R4:
-        return HALF_PI * HALF_PI * _horner(_TBL["dd"], r * r)
-    return e * e - rc * rc * k * k
+# three entries each: one "all" run scans three grids, its own, 256 and 1000
+# points, and the sweeps and the classifications read the first two tables
+@functools.lru_cache(maxsize=3)
+def _grid_columns(n: int) -> tuple:
+    """The columns (r, r', K, E) of the n-point grid_open_unit grid, for a
+    grid size _size has checked; the bound scans map over them."""
+    return _columns(*_radii(n))
+
+
+@functools.lru_cache(maxsize=3)
+def _grid_table(n: int) -> _Table:
+    """The table of the n-point grid: its columns (r, r', K, E) and the
+    cancelling columns; the column functions map over it."""
+    return _table(_grid_columns(n))
 
 
 # --------------------------------------------------------------------------
-# The auxiliary functions themselves, as row functions.
+# The auxiliary functions themselves, as column functions: each flop in the
+# order of the lemma's formula, whatever the table's length.
 
-def _l22_1(r: float, rc: float, k: float, e: float) -> float:
-    return _emr(r, rc, k, e) / (r * r)
-
-
-def _l22_2(r: float, rc: float, k: float, e: float) -> float:
-    return e / math.sqrt(rc)
+def _l22_1(t: _Table) -> list[float]:
+    return [em / (r * r) for r, em in zip(t.r, t.emr)]
 
 
-def _l22_3(r: float, rc: float, k: float, e: float) -> float:
-    return _kme(r, rc, k, e) / (r * r * k)
+def _l22_2(t: _Table) -> list[float]:
+    return [e / math.sqrt(rc) for rc, e in zip(t.rc, t.e)]
 
 
-def _l22_4(r: float, rc: float, k: float, e: float) -> float:
-    return _emr(r, rc, k, e) / (r * r * k)
+def _l22_3(t: _Table) -> list[float]:
+    return [d / (r * r * k) for r, k, d in zip(t.r, t.k, t.kme)]
 
 
-def _l22_5(r: float, rc: float, k: float, e: float) -> float:
-    return rc**0.75 * _kme(r, rc, k, e) / (r * r)
+def _l22_4(t: _Table) -> list[float]:
+    return [em / (r * r * k) for r, k, em in zip(t.r, t.k, t.emr)]
 
 
-def _l22_6(r: float, rc: float, k: float, e: float) -> float:
-    em = _emr(r, rc, k, e)
-    return em * em / _dd(r, rc, k, e)
+def _l22_5(t: _Table) -> list[float]:
+    return [rc**0.75 * d / (r * r) for r, rc, d in zip(t.r, t.rc, t.kme)]
 
 
-def _l22_7(r: float, rc: float, k: float, e: float) -> float:
-    w = _wmh(r, rc, k, e)
-    return 4.0 * w * (w + _PI) / (r * r)
+def _l22_6(t: _Table) -> list[float]:
+    return [em * em / dd for em, dd in zip(t.emr, t.dd)]
 
 
-def _l23_g(r: float, rc: float, k: float, e: float) -> float:
-    em = _emr(r, rc, k, e)
-    return (_kme(r, rc, k, e) * em + e * _d2(r, rc, k, e)) / (em * em)
+def _l22_7(t: _Table) -> list[float]:
+    return [4.0 * w * (w + _PI) / (r * r) for r, w in zip(t.r, t.wmh)]
 
 
-def _l24_h(r: float, rc: float, k: float, e: float, p: float) -> float:
-    r2 = r * r
-    return (2.0 * p - 1.0) * r2 + 2.0 * p * r2 * e / _emr(r, rc, k, e)
+def _l23_g(t: _Table) -> list[float]:
+    return [(d * em + e * d2) / (em * em) for e, d, em, d2 in zip(t.e, t.kme, t.emr, t.d2)]
 
 
-def _l26_f(r: float, rc: float, k: float, e: float, u: float, p: float) -> float:
-    return p * math.log1p(u * r * r) - math.log1p(_wmh(r, rc, k, e) * 2.0 / _PI)
+def _l24_h(t: _Table, p: float) -> list[float]:
+    a, b = 2.0 * p - 1.0, 2.0 * p
+    return [a * (r * r) + b * (r * r) * e / em for r, e, em in zip(t.r, t.e, t.emr)]
 
 
-def _l27_F(r: float, rc: float, k: float, e: float) -> float:
+def _l26_f(t: _Table, u: float, p: float) -> list[float]:
+    return [p * math.log1p(u * r * r) - math.log1p(w * 2.0 / _PI) for r, w in zip(t.r, t.wmh)]
+
+
+def _l27_F(t: _Table) -> list[float]:
     # the bracket of F is 1 - J / pi^2 with J the lemma 2.2 part (7) function
-    big_w = _wmh(r, rc, k, e) + HALF_PI
-    return big_w * big_w * (1.0 - _l22_7(r, rc, k, e) / (_PI * _PI))
+    return [(w + HALF_PI) * (w + HALF_PI) * (1.0 - j / _PI2) for w, j in zip(t.wmh, _l22_7(t))]
+
+
+def _one_row(r: float) -> _Table:
+    # the table of the single radius r in (0, 1)
+    return _table(_columns((r,), (_complement(r),)))
 
 
 # Below this radius r^2 < 1e-80, so every swept function equals its claimed
-# r = 0+ limit to double precision, while r^2 and (E - r'^2 K)^2 in the row
-# functions go subnormal and then 0 further down (below r ~ 1e-162 and 1e-81).
+# r = 0+ limit to double precision, while r^2 and (E - r'^2 K)^2 in the
+# column functions go subnormal and then 0 further down (below r ~ 1e-162 and 1e-81).
 _LIMIT_R = 1e-40
 
 
@@ -248,7 +255,7 @@ def _public(fn: str, m: Modulus | float, **params: float) -> float:
     params = sd.check(params)
     if r < _LIMIT_R:
         return sd.limits(params)[0]
-    return sd.fn(*_row(r), **params)
+    return sd.fn(_one_row(r), **params)[0]
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
@@ -288,7 +295,7 @@ def lemma25_check(p: float) -> Lemma25Margins:
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    return _l26_f(*_row(_radius(m, True)), _param("u", u), _param("p", p))
+    return _l26_f(_one_row(_radius(m, True)), _param("u", u), _param("p", p))[0]
 
 
 def lemma27_F(m: Modulus | float) -> float:
@@ -313,7 +320,8 @@ class MonotoneReport:
     excess of the 1e-12 comparison tolerance (0.0 means the claim held at
     every consecutive pair).  left_limit/right_limit are the observed
     endpoint extrapolations; right_limit is +inf for claims with a divergent
-    right end, which are reported rather than extrapolated.
+    right end, which are reported rather than extrapolated.  argmax_r is where
+    the worst movement against the claim starts, on a failed sweep (else None).
     """
 
     name: str
@@ -324,6 +332,7 @@ class MonotoneReport:
     grid_size: int
     claimed_left: float
     claimed_right: float
+    argmax_r: float | None = None
 
     @property
     def divergent_right(self) -> bool:
@@ -391,10 +400,10 @@ def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[
 
 @dataclass(frozen=True)
 class _SweepDef:
-    """A row function with its direction, claimed limits (numbers, or functions
+    """A column function with its direction, claimed limits (numbers, or functions
     of the parameters that ``params`` validates), right-end model and tolerance."""
 
-    fn: Callable[..., float]
+    fn: Callable[..., list[float]]
     direction: Direction
     left: float | Callable[..., float]
     right: float | Callable[..., float]
@@ -418,12 +427,12 @@ _SWEEPS: dict[str, _SweepDef] = {
     "lemma22_4": _SweepDef(_l22_4, Direction.DECREASING, 0.5, 0.0, "invk", 1e-3),
     "lemma22_5": _SweepDef(_l22_5, Direction.DECREASING, _PI / 4.0, 0.0, "r34log", 1e-2),
     "lemma22_6": _SweepDef(_l22_6, Direction.DECREASING, 2.0, 1.0, "rc2", 1e-3),
-    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI * _PI / 2.0, 16.0 - _PI * _PI, "rc2", 1e-3),
+    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI2 / 2.0, 16.0 - _PI2, "rc2", 1e-3),
     "lemma23_g": _SweepDef(_l23_g, Direction.INCREASING, 1.5, math.inf, None, 1e-2),
     "lemma24_h": _SweepDef(_l24_h, Direction.DECREASING, lambda p: 4.0 * p, lambda p: 4.0 * p - 1.0,
                            "rc2", 1e-3, {"p": functools.partial(_param, "lemma 2.4 exponent p")}),
     "lemma27_F": _SweepDef(_l27_F, Direction.INCREASING,
-                           _PI * _PI / 8.0, 8.0 * (_PI * _PI - 8.0) / (_PI * _PI), "rc2", 1e-3),
+                           _PI2 / 8.0, 8.0 * (_PI2 - 8.0) / _PI2, "rc2", 1e-3),
 }
 
 
@@ -445,30 +454,21 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
         raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
     params = sd.check(params)
 
-    rs, _, ks, _ = table = _grid_table(n)
-    fs = list(map(sd.fn, *table, *map(repeat, params.values())))
-    # movement against the claimed direction between consecutive grid points
-    moves = map(sub, fs, fs[1:]) if sd.direction is Direction.INCREASING else map(sub, fs[1:], fs)
-    worst = max(0.0, max(chain((0.0,), moves)) - _MONOTONE_TOL)
+    table = _grid_table(n)
+    rs, ks, fs = table.r, table.k, sd.fn(table, **params)
+    # movement against the claimed direction between consecutive grid points is a - b
+    a, b = (fs, fs[1:]) if sd.direction is Direction.INCREASING else (fs[1:], fs)
+    worst = max(0.0, max(chain((0.0,), map(sub, a, b))) - _MONOTONE_TOL)
+    # a second pass, on failure only: the radius where the worst move starts
+    argmax_r = rs[max(range(len(fs) - 1), key=lambda i: a[i] - b[i])] if worst > 0.0 else None
 
     left = _extrapolate("r2", rs[:3], ks[:3], fs[:3])
     claimed_left, claimed_right = sd.limits(params)
-    if math.isinf(claimed_right):
-        right = math.inf
-    else:
-        right = _extrapolate(sd.right_model, rs[-3:], ks[-3:], fs[-3:])
-
+    right = math.inf if math.isinf(claimed_right) else _extrapolate(sd.right_model, rs[-3:], ks[-3:], fs[-3:])
     name = fn if not params else fn + " " + ",".join(f"{k}={v:g}" for k, v in params.items())
-    return MonotoneReport(
-        name=name,
-        direction=sd.direction,
-        left_limit=left,
-        right_limit=right,
-        worst_violation=worst,
-        grid_size=grid,
-        claimed_left=claimed_left,
-        claimed_right=claimed_right,
-    )
+    return MonotoneReport(name=name, direction=sd.direction, left_limit=left, right_limit=right,
+                          worst_violation=worst, grid_size=n, claimed_left=claimed_left,
+                          claimed_right=claimed_right, argmax_r=argmax_r)
 
 
 # --------------------------------------------------------------------------
@@ -530,19 +530,19 @@ def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
     n = _size(grid, 100, "classification grid must have")
     uf, pf = _param("u", u), _param("p", p)
     table = _grid_table(n)
-    solid, flips = _sign_changes(table[0], map(_l26_f, *table, repeat(uf), repeat(pf)), _SIGN_TOL)
+    solid, flips = _sign_changes(table.r, _l26_f(table, uf, pf), _SIGN_TOL)
     if not solid:
-        raise VerificationError(f"all {grid} samples of f(u={u}, p={p}) are below the sign floor")
+        raise VerificationError(f"all {n} samples of f(u={u}, p={p}) are below the sign floor")
     starts_positive, eta = solid[0][1] > 0, None
     if not flips:
         case = SignCase.ALL_POSITIVE if starts_positive else SignCase.ALL_NEGATIVE
     elif len(flips) == 1 and starts_positive:
         case = SignCase.POSITIVE_THEN_NEGATIVE
-        eta = _bisect(lambda r, rc: _l26_f(r, rc, *_agm_ke(r, rc), uf, pf) > 0.0, *flips[0][:2], 1e-10)
+        eta = _bisect(lambda r, _: _l26_f(_one_row(r), uf, pf)[0] > 0.0, *flips[0][:2], 1e-10)
     else:
         raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
                                 f"starting {'positive' if starts_positive else 'negative'}")
-    return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=grid)
+    return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=n)
 
 
 def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
@@ -613,13 +613,8 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
 
     lo, hi, lo_positive = flips[-1]
     r_cross = _bisect(lambda r, rc: (a._at(r, rc) > b._at(r, rc)) == lo_positive, lo, hi, 1e-12)
-    return CrossoverResult(
-        delta=1.0 - r_cross,
-        r_cross=r_cross,
-        bound_a=a,
-        bound_b=b,
-        better_near_one=_closer_to_e(a, b, 0.5 * (r_cross + 1.0)),
-    )
+    return CrossoverResult(delta=1.0 - r_cross, r_cross=r_cross, bound_a=a, bound_b=b,
+                           better_near_one=_closer_to_e(a, b, 0.5 * (r_cross + 1.0)))
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -653,11 +648,11 @@ def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> t
     with violation > 0 meaning the claim fails at r."""
     if claimed_side not in (Side.LOWER, Side.UPPER):
         raise ConfigurationError("claimed side must be LOWER or UPPER")
-    rs, *_ = table = _grid_table(_size(scan))
-    vs = list(_violations(spec, claimed_side, *table))
+    table = _grid_columns(_size(scan))
+    rs, vs = table[0], list(_violations(spec, claimed_side, *table))
     i = vs.index(max(vs))
     lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    # the refinement evaluates one-row tables: zip(row) gives its columns
+    # the refinement evaluates single rows (r, r', K, E): zip(row) gives their columns
     return _golden_max(lambda r: next(_violations(spec, claimed_side, *zip(_row(r)))), lo, hi)
 
 
@@ -700,9 +695,11 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
         tol, divergent = sd.tol, rep.divergent_right
         ok = rep.worst_violation == 0.0 and rep.left_error <= tol and (divergent or rep.right_error <= tol)
         right = {} if divergent else {"right_err": rep.right_error}
+        # where the worst move starts, kept (not printed) when the sweep failed on it
+        worst = {"argmax_r": rep.argmax_r} if rep.worst_violation > 0.0 else {}
         out.append(_check(rep.name, ok, _SWEEP[divergent], dir=rep.direction.value,
                           worst_violation=rep.worst_violation, left_err=rep.left_error, tol=tol,
-                          grid=rep.grid_size, **right))
+                          grid=rep.grid_size, **right, **worst))
 
     margins = [lemma25_check(0.5 + 1.5 * i / 99.0) for i in range(100)]
     lo, hi = min(mg.lower_margin for mg in margins), min(mg.upper_margin for mg in margins)
@@ -745,7 +742,8 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Validity of every sharp-constant family on one grid table, then the
     falsifiers on one shared 1000-point table: each sharp constant perturbed
     by 1e-3 into the invalid region must produce a located violation."""
-    valid = _grid_table(_size(grid_points))
+    n = _size(grid_points)
+    valid = _grid_columns(n)
     out: list[CheckResult] = []
     for spec in default_candidates():
         side = spec.side
@@ -754,7 +752,7 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
         out.append(_check(f"valid {side.value} bound: {spec.label}", worst <= _VALIDITY_SLACK,
                           "max signed violation {violation:.6g} at r={r:.6g} (slack {slack:.6g}, grid={grid})",
                           violation=worst, r=valid[0][vs.index(worst)], slack=_VALIDITY_SLACK,
-                          grid=grid_points))
+                          grid=n))
     for name, spec, side in _falsifier_plan():
         r, v = search_violation(spec, side, 1000)
         out.append(_check(f"falsify {name}", v > _SOLID, "violation {violation:.6g} located at r={r:.6g}",
@@ -768,7 +766,7 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     and the two crossover radii."""
     rs, rcs = _radii(grid_points)
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
-    coeff = 1.0 - 8.0 / (_PI * _PI)
+    coeff = 1.0 - 8.0 / _PI2
     worst42 = max(abs((1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
                                        + ((1.0 - MU_STAR) + MU_STAR * x) ** 2) - coeff * (1.0 - x) ** 2)
                   for x in rs)
@@ -804,9 +802,10 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    # an empty table cache per call, so every run builds each grid's table once
+    # empty table caches per call, so every run builds each grid's tables once
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    _grid_columns.cache_clear()
     _grid_table.cache_clear()
     runs = (run_lemma_suite, run_sharpness_suite, run_remarks_suite)
     return [res for suite, run in zip(SUITE_NAMES, runs) if name in (suite, "all")

@@ -3,6 +3,7 @@ import functools
 import math
 
 import mpmath
+import numpy
 import pytest
 
 import ellipbounds.core
@@ -42,17 +43,19 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
-from ellipbounds.core import _row, elliptic_ke
+from ellipbounds.core import _complement, _row, elliptic_ke
 from ellipbounds.verify import (
+    _CUT_R2,
+    _CUT_R4,
+    _SERIES,
     _SWEEPS,
-    _d2,
-    _dd,
-    _emr,
+    _columns,
     _falsifier_plan,
     _grid_table,
-    _kme,
+    _horner,
+    _one_row,
     _solve3,
-    _wmh,
+    _table,
     grid_open_unit,
     lemma26_case_sample,
     lemma26_expected_case,
@@ -79,13 +82,18 @@ SWEEPS = [(fn, {}) for fn in sweep_ids() if fn != "lemma24_h"]
 SWEEPS += [("lemma24_h", {"p": 0.5}), ("lemma24_h", {"p": 2.0})]
 
 
+def table_of(rs):
+    # the table of the ascending radii rs, built as a grid's table is
+    return _table(_columns(rs, list(map(_complement, rs))))
+
+
 @pytest.mark.parametrize("fn,params", SWEEPS)
 def test_table_path_matches_public_path(fn, params):
     # a sweep reads grid-table rows, which hold _row of their radius exactly;
     # the public function evaluates a one-row table of its own
     table = _grid_table(7)
-    assert list(zip(*table)) == [_row(r) for r in table[0]]
-    swept = [_SWEEPS[fn].fn(*_row(r), **params) for r in AGREEMENT_RADII]
+    assert list(zip(*table[:4])) == [_row(r) for r in table.r]
+    swept = _SWEEPS[fn].fn(table_of(AGREEMENT_RADII), **params)
     assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
 
 
@@ -108,15 +116,43 @@ def mp_blocks(r):
                 (K - E) - (E - rc2 * K), E**2 - rc2 * K**2)
 
 
-@pytest.mark.parametrize("r", [1e-6, 1e-4, 0.019, 0.021, 0.049, 0.051, 0.2, 0.7])
+SERIES_RADII = [1e-6, 1e-4, 0.019, 0.021, 0.049, 0.051, 0.2, 0.7]
+
+
+@pytest.mark.parametrize("r", SERIES_RADII)
 def test_series_blocks_match_extended_precision(r):
-    # the series/direct switchover must be seamless on both sides
-    m = Modulus(r)
-    ke = elliptic_ke(m)
-    row = (m.r, m.r_comp, ke.k_val, ke.e_val)
-    mine = [_kme(*row), _emr(*row), _wmh(*row), _d2(*row), _dd(*row)]
+    # the series/direct switchover must be seamless on both sides; the five
+    # cancelling columns of one table that holds every radius
+    table = table_of(SERIES_RADII)
+    i = SERIES_RADII.index(r)
+    mine = [column[i] for column in table[4:]]
     for got, ref in zip(mine, mp_blocks(r)):
         assert got == pytest.approx(float(ref), rel=5e-10)
+
+
+def _ulps(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+
+
+def test_derived_columns_switch_at_the_cutoffs():
+    # a grid through each cutoff and one ulp either side: every derived
+    # column equals the one-row path at every row, and holds the series
+    # exactly where r < cutoff and the direct formula at and above it
+    rs = sorted({*grid_open_unit(1000), *_ulps(_CUT_R2), *_ulps(_CUT_R4)})
+    table = table_of(rs)
+    for i, r in enumerate(rs):
+        assert [column[i] for column in table] == [column[0] for column in _one_row(r)], r
+    direct = {"K - E": lambda r, rc, k, e: k - e,
+              "E - r'^2 K": lambda r, rc, k, e: e - rc * rc * k,
+              "2E - r'^2 K - pi/2": lambda r, rc, k, e: 2.0 * e - rc * rc * k - math.pi / 2.0,
+              "(K - E) - (E - r'^2 K)": lambda r, rc, k, e: (k - e) - (e - rc * rc * k),
+              "E^2 - r'^2 K^2": lambda r, rc, k, e: e * e - rc * rc * k * k}
+    for (name, formula), column, (cut, unit, coeffs) in zip(direct.items(), table[4:], _SERIES):
+        for r in _ulps(_CUT_R2) + _ulps(_CUT_R4):
+            i = rs.index(r)
+            series, value = unit * _horner(coeffs, r * r), formula(*(col[i] for col in table[:4]))
+            # the two forms differ in the last bits here, so the column shows which one it holds
+            assert series != value and column[i] == (series if r < cut else value), (name, r)
 
 
 class TestLemma22:
@@ -168,6 +204,11 @@ class TestLemma24:
     def test_monotone_fails_above_two(self):
         rep = sweep_monotone("lemma24_h", grid=2000, params={"p": 2.5})
         assert rep.worst_violation > 0.0
+        # the largest rise of h, from the public path, starts at argmax_r
+        rs = grid_open_unit(2000)
+        hs = [lemma24_h(r, 2.5) for r in rs]
+        rises = [b - a for a, b in zip(hs, hs[1:])]
+        assert (rep.argmax_r, rep.worst_violation) == (rs[rises.index(max(rises))], max(rises) - 1e-12)
 
     @pytest.mark.parametrize("grid", [1000, 10_000])
     def test_right_limit_at_huge_p(self, grid):
@@ -276,7 +317,7 @@ class TestLemma26:
         for positive, message in [(lambda r: r > 0.5, "1 sign change(s), starting negative"),
                                   (lambda r: not 0.3 < r < 0.7, "2 sign change(s), starting positive")]:
             monkeypatch.setattr(ellipbounds.verify, "_l26_f",
-                                lambda r, rc, k, e, u, p, positive=positive: 1.0 if positive(r) else -1.0)
+                                lambda t, u, p, positive=positive: [1.0 if positive(r) else -1.0 for r in t.r])
             with pytest.raises(VerificationError) as exc:
                 lemma26_classify(0.3, 1.0)
             assert str(exc.value) == "inconsistent sign pattern: " + message
@@ -284,6 +325,10 @@ class TestLemma26:
     def test_grid_minimum(self):
         with pytest.raises(ConfigurationError):
             lemma26_classify(0.3, 1.0, grid=50)
+
+    def test_grid_size_is_the_checked_int(self):
+        rep = lemma26_classify(0.3, 1.0, numpy.int64(256))
+        assert (type(rep.grid_size), rep.grid_size) == (int, 256)
 
 
 class TestLemma27:
@@ -317,6 +362,12 @@ class TestSweepMonotone:
         assert rep.left_limit == pytest.approx(0.5, abs=1e-3)
         assert rep.right_limit == pytest.approx(1.0, abs=1e-3)
         assert rep.grid_size == 2000
+        assert rep.argmax_r is None
+
+    def test_grid_size_is_the_checked_int(self):
+        # any integral size is accepted, and the report keeps the int it checked
+        rep = sweep_monotone("lemma22_1", numpy.int64(1000))
+        assert (type(rep.grid_size), rep.grid_size) == (int, 1000)
 
     def test_lemma24_h_report(self):
         rep = sweep_monotone("lemma24_h", grid=2000, params={"p": 1.0})
@@ -665,6 +716,21 @@ class TestFailureLines:
         assert (res.name, res.passed) == ("lemma22_2", False)
         assert res.detail == ("dir=increasing worst_violation=2.5e-07 left_err=0(tol 0.001) "
                               "right=divergent grid=1000")
+
+    def test_failed_sweep_keeps_where_the_worst_move_starts(self, monkeypatch):
+        # lemma22_1 lowered by 1e-3 at the 401st grid point: the largest move
+        # against its increase starts one point earlier, and the detail line
+        # does not print where
+        sd, rs = ellipbounds.verify._SWEEPS["lemma22_1"], grid_open_unit(1000)
+
+        def dipped(t):
+            return [f - 1e-3 if r == rs[400] else f for r, f in zip(t.r, sd.fn(t))]
+
+        monkeypatch.setitem(ellipbounds.verify._SWEEPS, "lemma22_1", dataclasses.replace(sd, fn=dipped))
+        res = run_lemma_suite(1000)[0]
+        assert (res.name, res.passed, res.metrics["argmax_r"]) == ("lemma22_1", False, rs[399])
+        assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=0(tol 0.001) "
+                              "right_err=3.11133e-06(tol 0.001) grid=1000")
 
     @pytest.mark.parametrize("flaw, detail", [
         ({"case_id": SignCase.ALL_POSITIVE},
