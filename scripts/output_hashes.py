@@ -77,6 +77,10 @@ OUTPUTS = [
      "streams"),
     ("crossover thm12 p=3 (exit 2)", {}, ["crossover", "--a", "thm12:t=0.95,p=3", "--b", "vuorinen"],
      "streams"),
+    # the enclosure's errors in their order (an invalid spec before a missing side), and a success
+    *((f"enclose {' '.join(families)}", {}, ["enclose", "--r", "0.5", "--families", *families], "streams")
+      for families in (["thm11:q=0.13", "barnard"], ["barnard"], ["vuorinen", "thm11:q=0.13"],
+                       ["thm12:t=0.51,p=1.3", "alzer-qiu", "thm11-lower"])),
 ]
 
 

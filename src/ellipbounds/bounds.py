@@ -108,14 +108,20 @@ def _u_thresholds(p: float) -> tuple[float, float]:
     return 1.0 / (4.0 * p), (4.0 / _PI) ** (1.0 / p) - 1.0
 
 
+def _t_thresholds(p: float) -> tuple[float, float]:
+    # thm12's sharp t-thresholds 1/2 + sqrt(u)/2 at both u-thresholds, p validated
+    u1, u2 = _u_thresholds(p)
+    return 0.5 + math.sqrt(u1) / 2.0, 0.5 + math.sqrt(u2) / 2.0
+
+
 def thm12_lower_threshold(p: float) -> float:
     """Largest t for which the t-parametrised family is a lower bound."""
-    return 0.5 + math.sqrt(_u_thresholds(_param("p", p))[0]) / 2.0
+    return _t_thresholds(_param("p", p))[0]
 
 
 def thm12_upper_threshold(p: float) -> float:
     """Smallest t for which the t-parametrised family is an upper bound."""
-    return 0.5 + math.sqrt(_u_thresholds(_param("p", p))[1]) / 2.0
+    return _t_thresholds(_param("p", p))[1]
 
 
 # Kernels: one flop sequence per distinct closed form, on (*args, r, r') with r in
@@ -189,6 +195,7 @@ class Side(Enum):
 
 
 class Family(Enum):
+    __hash__ = object.__hash__  # members are singletons: identity agrees with equality, and hashes in C
     VUORINEN = "vuorinen"
     BARNARD = "barnard"
     ALZER_QIU = "alzer-qiu"
@@ -219,10 +226,8 @@ _FAMILIES = {
     Family.ALZER_QIU: _Row(_alzer_qiu, side=Side.UPPER),
     Family.THM11: _Row(_thm11, ("q",), thresholds=lambda: (BETA_STAR, ALPHA_STAR),
                        threshold_names=("beta_star", "alpha_star"), sharp_at=((),)),
-    Family.THM12: _Row(_thm12, ("t", "p"),
-                       thresholds=lambda p: (thm12_lower_threshold(p), thm12_upper_threshold(p)),
-                       threshold_names=("thm12_lower_threshold(p)", "thm12_upper_threshold(p)"),
-                       sharp_at=((0.5,), (1.0,), (2.0,))),
+    Family.THM12: _Row(_thm12, ("t", "p"), thresholds=_t_thresholds, sharp_at=((0.5,), (1.0,), (2.0,)),
+                       threshold_names=("thm12_lower_threshold(p)", "thm12_upper_threshold(p)")),
     Family.COR31_LOWER: _Row(_thm12, fixed=(LAMBDA_STAR, 2.0), side=Side.LOWER),
     Family.COR31_UPPER: _Row(_thm12, fixed=(MU_STAR, 0.5), side=Side.UPPER),
 }
@@ -252,14 +257,14 @@ class BoundSpec:
         row = _FAMILIES.get(self.family)
         if row is None:
             raise ConfigurationError(f"unknown bound family {self.family!r}")
-        given = tuple(n for n in ("q", "t", "p") if getattr(self, n) is not None)
+        given = ("q",) * (self.q is not None) + ("t",) * (self.t is not None) + ("p",) * (self.p is not None)
         if given != row.params:
             foreign = [n for n in given if n not in row.params]
             if foreign:
                 raise ConfigurationError(f"{self.family.value} takes no parameter(s) {foreign}")
             missing = [n for n in row.params if n not in given]
             raise ConfigurationError(f"{self.family.value} needs parameter(s) {missing}")
-        args = tuple(_param(n, getattr(self, n)) for n in given) or row.fixed
+        args = tuple(map(_param, given, map(self.__getattribute__, given))) or row.fixed
         side = row.side
         if side is None:
             lo, hi = row.thresholds(*args[1:])
@@ -370,12 +375,13 @@ def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:
     # reason the list gives no enclosure
     if not candidates:
         raise ConfigurationError("no candidate bounds given")
-    for spec in candidates:
-        if spec._side is Side.INVALID:
+    lower, invalid = Side.LOWER, Side.INVALID
+    split = lows, ups = [], []
+    for i, spec in enumerate(candidates):
+        if spec._side is invalid:
             raise InvalidBoundError(f"{spec.label} lies on neither valid side of its sharp "
                                     "constants: " + _sharpness_hint(spec))
-    split = tuple([i for i, spec in enumerate(candidates) if spec._side is side]
-                  for side in (Side.LOWER, Side.UPPER))
+        (lows if spec._side is lower else ups).append(i)
     for idx, side in zip(split, ("lower", "upper")):
         if not idx:
             raise ConfigurationError(f"candidate list has no {side} bound")

@@ -164,14 +164,15 @@ def _table(columns: tuple) -> _Table:
     return _Table(*columns, *cols)
 
 
+# three entries each: one "all" run scans three grids, its own, 256 and 1000
+# points, and the sweeps and the classifications read the first two tables
+@functools.lru_cache(maxsize=3)
 def _radii(n: int) -> tuple[array, array]:
-    # columns (r, r') of the n-point grid: its points lie in (0, 1), so no Modulus
+    # columns (r, r') of the n-point grid, n checked by _size: its points lie in (0, 1), so no Modulus
     rs = array("d", grid_open_unit(n))
     return rs, array("d", map(_complement, rs))
 
 
-# three entries each: one "all" run scans three grids, its own, 256 and 1000
-# points, and the sweeps and the classifications read the first two tables
 @functools.lru_cache(maxsize=3)
 def _grid_columns(n: int) -> tuple:
     """The columns (r, r', K, E) of the n-point grid_open_unit grid, for a
@@ -604,7 +605,7 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     sign-less so that pairs which agree to machine precision near an
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
-    rs, rcs = _radii(scan)
+    rs, rcs = _radii(_size(scan))
     solid, flips = _sign_changes(rs, _difference(a, b, rs, rcs), _SOLID)
     if not flips:
         if not solid:
@@ -764,7 +765,7 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """The bound-comparison claims: the coincidence identity, the quadratic
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
-    rs, rcs = _radii(grid_points)
+    rs, rcs = _radii(_size(grid_points))
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
     coeff = 1.0 - 8.0 / _PI2
     worst42 = max(abs((1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
@@ -805,6 +806,7 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     # empty table caches per call, so every run builds each grid's tables once
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    _radii.cache_clear()
     _grid_columns.cache_clear()
     _grid_table.cache_clear()
     runs = (run_lemma_suite, run_sharpness_suite, run_remarks_suite)

@@ -328,6 +328,18 @@ class TestBoundSpecSide:
             BoundSpec(Family.VUORINEN, q=0.1)
         with pytest.raises(DomainError):
             BoundSpec(Family.THM12, t=0.3, p=1.0)
+        # a foreign parameter is reported before a missing one
+        for family, params, message in [
+            (Family.THM11, {"t": 0.7}, "thm11 takes no parameter(s) ['t']"),
+            (Family.THM11, {"q": 0.1, "t": 0.7}, "thm11 takes no parameter(s) ['t']"),
+            (Family.THM12, {"t": 0.9}, "thm12 needs parameter(s) ['p']"),
+            (Family.THM12, {"q": 0.1}, "thm12 takes no parameter(s) ['q']"),
+            (Family.THM12, {"p": 1.0}, "thm12 needs parameter(s) ['t']"),
+            (Family.VUORINEN, {"q": 0.1, "p": 1.0}, "vuorinen takes no parameter(s) ['q', 'p']"),
+        ]:
+            with pytest.raises(ConfigurationError) as info:
+                BoundSpec(family, **params)
+            assert str(info.value) == message
 
     def test_rejects_q_on_thm12(self):
         # accepted once, after which .side raised "unclassifiable spec"
@@ -463,12 +475,24 @@ class TestBestEnclosure:
         assert enc.hi_source is cands[0]
 
     def test_errors(self):
-        with pytest.raises(ConfigurationError):
-            best_enclosure(0.5, [])
-        with pytest.raises(ConfigurationError):
-            best_enclosure(0.5, [BoundSpec(Family.VUORINEN)])
-        with pytest.raises(InvalidBoundError):
-            best_enclosure(0.5, [BoundSpec(Family.THM11, q=0.13), BoundSpec(Family.BARNARD)])
+        # the radius first, then an empty list, the first spec on neither side
+        # (before a missing side), no lower, no upper: each with its exact message
+        gap, vuo, bar = BoundSpec(Family.THM11, q=0.13), BoundSpec(Family.VUORINEN), BoundSpec(Family.BARNARD)
+        invalid = "thm11:q=0.13 lies on neither valid side of its sharp constants: "
+        for r, cands, exc, message in [
+            (1.5, [], DomainError, "modulus must lie in [0, 1], got 1.5"),
+            (0.5, [], ConfigurationError, "no candidate bounds given"),
+            (0.5, [gap, bar], InvalidBoundError, invalid),
+            (0.5, [gap], InvalidBoundError, invalid),
+            (0.5, [vuo, gap], InvalidBoundError, invalid),
+            (0.5, [vuo, bar, BoundSpec(Family.THM11, q=0.12), gap], InvalidBoundError,
+             "thm11:q=0.12 lies on neither valid side"),
+            (0.5, [bar], ConfigurationError, "candidate list has no lower bound"),
+            (0.5, [vuo], ConfigurationError, "candidate list has no upper bound"),
+        ]:
+            with pytest.raises(exc) as info:
+                best_enclosure(r, cands)
+            assert type(info.value) is exc and str(info.value).startswith(message)
 
 
 class TestParseBoundSpec:

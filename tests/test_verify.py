@@ -500,6 +500,13 @@ NON_INTEGER_GRIDS = {
     "sweep_monotone nan p": lambda: sweep_monotone("lemma24_h", 1000.5, {"p": math.nan}),
     "lemma26_classify nan u": lambda: lemma26_classify(math.nan, 1.0, None),
     "run_remarks_suite": lambda: run_remarks_suite("x"),
+    # the radii are cached by size: the check comes first, even when an equal size is cached
+    "find_crossover [1000]": lambda: find_crossover(BoundSpec(Family.VUORINEN), BoundSpec(Family.BARNARD),
+                                                    [1000]),
+    "find_crossover 1000.0, cached": lambda: [find_crossover(BoundSpec(Family.COR31_UPPER),
+                                                             BoundSpec(Family.ALZER_QIU), n)
+                                              for n in (1000, 1000.0)],
+    "run_remarks_suite 1000.0, cached": lambda: [run_remarks_suite(n) for n in (1000, 1000.0)],
 }
 
 
