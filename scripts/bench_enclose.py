@@ -6,8 +6,10 @@ The cases are the steps a point-queries enclosure call makes: sorting the
 13 default candidates into lower and upper (`bounds._split`), building a
 spec, parsing a plain family name, an alias and a parametric text, and
 `best_enclosure` itself on the 13 defaults (with the `default_candidates()`
-copy the call makes) and on two specs parsed beforehand.  `complete_e` is
-the control: the change under test should leave it where it is.
+copy the call makes) and on two specs parsed beforehand, and building the
+value records an enclosure or an evaluation returns (`Enclosure`,
+`EllipticValues`) or checks its arguments with (`MeanPair`).  `complete_e`
+is the control: the change under test should leave it where it is.
 
 Each case is timed as CALLS calls in a loop, and each such block is
 bracketed by the benchmark's reference loop and scaled by it, as
@@ -45,14 +47,20 @@ def _cases() -> dict:
 
     defaults = bounds.default_candidates()
     parsed = [bounds.parse_bound_spec("thm12:t=0.51,p=1.3"), bounds.parse_bound_spec("alzer-qiu")]
+    values = tuple(spec.evaluate(R) for spec in defaults)
     return {
         "_split(default_candidates())": lambda: bounds._split(defaults),
         "BoundSpec(Family.THM12, t=0.9, p=1.5)": lambda: bounds.BoundSpec(bounds.Family.THM12, t=0.9, p=1.5),
         "parse plain name 'vuorinen'": lambda: bounds.parse_bound_spec("vuorinen"),
         "parse alias 'thm11-lower'": lambda: bounds.parse_bound_spec("thm11-lower"),
         "parse 'thm12:t=0.51,p=1.3'": lambda: bounds.parse_bound_spec("thm12:t=0.51,p=1.3"),
-        "best_enclosure(r, default_candidates())": lambda: bounds.best_enclosure(R, bounds.default_candidates()),
+        "best_enclosure(r, default_candidates())":
+            lambda: bounds.best_enclosure(R, bounds.default_candidates()),
         "best_enclosure on two parsed specs": lambda: bounds.best_enclosure(R, parsed),
+        "Enclosure(lo, hi, lo_source, hi_source, values)":
+            lambda: bounds.Enclosure(1.25, 1.5, *parsed, values),
+        "EllipticValues(k, e)": lambda: core.EllipticValues(1.6857503548125961, 1.4674622093394272),
+        "MeanPair(a, b)": lambda: core.MeanPair(1.0, 2.0),
         "complete_e (control)": lambda: core.complete_e(R),
     }
 

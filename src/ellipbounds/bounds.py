@@ -35,12 +35,11 @@ MU_STAR        1/2 + sqrt((4/pi)^2 - 1)/2          0.894061841046999989493157818
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _param, _radius
+from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _param, _radius, _record
 from .errors import ConfigurationError, InvalidBoundError
 
 __all__ = [
@@ -81,7 +80,7 @@ LAMBDA_STAR = 0.5 + math.sqrt(2.0) / 8.0
 MU_STAR = 0.5 + math.sqrt((4.0 / _PI) ** 2 - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@_record
 class SharpConstants:
     """The named sharp constants, bundled for introspection."""
 
@@ -233,25 +232,23 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class BoundSpec:
     """One bound family plus its parameters.
 
     ``side`` classifies against the sharp constants with the non-strict
     inequalities under which they are stated; parameters strictly between
     the two thresholds give Side.INVALID.  The kernel, its arguments and
-    the side are resolved once, at construction; ``_at(r, r')`` is the
-    kernel with its arguments bound (a ``functools.partial``), which the
-    verify scans map over the columns of a grid table with no wrapper frame.
+    the side are resolved once, at construction, into ``_at``, ``_args``
+    and ``_side``, which are not fields; ``_at(r, r')`` is the kernel with
+    its arguments bound (a ``functools.partial``), which the verify scans
+    map over the columns of a grid table with no wrapper frame.
     """
 
     family: Family
     q: float | None = None
     t: float | None = None
     p: float | None = None
-    _at: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
-    _args: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _side: Side = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         row = _FAMILIES.get(self.family)
@@ -290,7 +287,7 @@ class BoundSpec:
         return self._at(r, _complement(r))
 
 
-@dataclass(frozen=True)
+@_record(hidden="values")
 class Enclosure:
     """A certified interval lo <= E(r) <= hi with the specs that produced
     each endpoint, and every candidate's value in candidate order.  In exact
@@ -301,7 +298,7 @@ class Enclosure:
     hi: float
     lo_source: BoundSpec
     hi_source: BoundSpec
-    values: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    values: tuple[float, ...] = ()
 
     @property
     def width(self) -> float:

@@ -13,12 +13,11 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 from . import verify
 from .bounds import BoundSpec, _columns, _split, best_enclosure, default_candidates, parse_bound_spec
-from .core import _float, _radius, _size, complete_e, complete_k, ellipse_perimeter, toader_mean
+from .core import _float, _radius, _record, _size, complete_e, complete_k, ellipse_perimeter, toader_mean
 from .errors import (
     SUITE_NAMES,
     ConfigurationError,
@@ -48,7 +47,7 @@ class Spacing(Enum):
     LOG_NEAR_ONE = "log-near-one"
 
 
-@dataclass(frozen=True)
+@_record
 class GridSpec:
     """Evaluation grid on [start, end]; log-near-one places the points
     geometrically in 1 - r between 1 - start and 1 - end."""

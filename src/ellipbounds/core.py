@@ -8,7 +8,7 @@ quadratically, so full double precision is reached in at most ~8 rounds for
 any r in [0, 1).
 
 Everything here is a pure function of its inputs; the value types are frozen
-dataclasses, so results can be shared freely across threads.
+records (``_record``), so results can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DivergenceError, DomainError
 
@@ -99,7 +98,41 @@ def _size(n: object, least: int = 2, what: str = "grid needs") -> int:
     return int(n)
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _record(cls: type | None = None, /, *, derived: str = "", hidden: str = "") -> type:
+    """Make cls a frozen value class over its annotated fields, as dataclass(frozen=True)
+    does, without importing dataclasses.  __init__ takes the fields not in derived, with
+    their class defaults (a dict default is a fresh dict per call), and then calls
+    __post_init__, which sets fields through object.__setattr__; __eq__ (same class only),
+    __hash__ and __repr__ cover the fields not in hidden."""
+    if cls is None:
+        return lambda cls: _record(cls, derived=derived, hidden=hidden)
+    init = [n for n in cls.__annotations__ if n not in derived.split()]
+    shown = [n for n in cls.__annotations__ if n not in hidden.split()]
+    ns = {f"_{n}": getattr(cls, n) for n in init if hasattr(cls, n)}
+    ns["_object_setattr"] = object.__setattr__
+    # a generated __init__, one store per field: a loop over the arguments is slower, and
+    # a store into vars(self) would move the fields into a dict that every read then pays for
+    params = [f"{n}=_{n}" if f"_{n}" in ns else n for n in init]
+    values = [f"{n} if {n} is not _{n} else {{}}" if type(ns.get(f"_{n}")) is dict else n for n in init]
+    sets = [f"_object_setattr(self, {n!r}, {v})" for n, v in zip(init, values)]
+    post = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    exec(f"def __init__(self, {', '.join(params)}):\n {'; '.join(sets + post)}\n"
+         f"def key(self):\n return ({''.join(f'self.{n}, ' for n in shown)})", ns)
+    key, fmt = ns["key"], ", ".join(f"{n}={{!r}}" for n in shown)
+    cls.__init__, cls.__match_args__ = ns["__init__"], tuple(init)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__eq__ = lambda self, other: (key(self) == key(other) if other.__class__ is self.__class__
+                                      else NotImplemented)
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__repr__ = lambda self: f"{type(self).__qualname__}({fmt.format(*key(self))})"
+    return cls
+
+
+@_record(derived="r_comp")
 class Modulus:
     """A modulus r in [0, 1] with its cached complement r' = sqrt(1 - r^2).
 
@@ -108,14 +141,14 @@ class Modulus:
     """
 
     r: float
-    r_comp: float = field(init=False)
+    r_comp: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _radius(self.r))
         object.__setattr__(self, "r_comp", _complement(self.r))
 
 
-@dataclass(frozen=True)
+@_record
 class EllipticValues:
     """The pair (K(r), E(r)) produced by one reference evaluation."""
 
@@ -123,7 +156,7 @@ class EllipticValues:
     e_val: float
 
 
-@dataclass(frozen=True)
+@_record
 class MeanPair:
     """A pair of positive reals fed to a bivariate mean."""
 
@@ -241,7 +274,7 @@ def toader_mean(a: float, b: float) -> float:
     return math.ldexp(2.0 * frac * complete_e(inner) / math.pi, k)
 
 
-@dataclass(frozen=True)
+@_record
 class DerivativeResiduals:
     """Absolute gaps between central differences and the closed-form
     derivatives of K, E, E - r'^2 K, and K - E."""

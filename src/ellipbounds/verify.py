@@ -25,7 +25,6 @@ import functools
 import math
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from bisect import bisect_left
@@ -45,7 +44,7 @@ from .bounds import (
     thm12_lower_threshold,
     thm12_upper_threshold,
 )
-from .core import HALF_PI, Modulus, _agm_ke, _complement, _param, _radius, _row, _size
+from .core import HALF_PI, Modulus, _agm_ke, _complement, _param, _radius, _record, _row, _size
 from .errors import SUITE_NAMES, ConfigurationError, VerificationError
 
 __all__ = [
@@ -278,7 +277,7 @@ def lemma24_h(m: Modulus | float, p: float) -> float:
     return _public("lemma24_h", m, p=p)
 
 
-@dataclass(frozen=True)
+@_record
 class Lemma25Margins:
     """Positive gaps of 1/(4p) < (4/pi)^(1/p) - 1 < 1/(4p-1)."""
 
@@ -313,7 +312,7 @@ class Direction(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
+@_record
 class MonotoneReport:
     """Outcome of one monotonicity sweep.
 
@@ -399,7 +398,7 @@ def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[
     return math.ldexp(_solve3([[1.0, *phi] for phi in basis], [math.ldexp(f, -k) for f in fs])[0], k)
 
 
-@dataclass(frozen=True)
+@_record
 class _SweepDef:
     """A column function with its direction, claimed limits (numbers, or functions
     of the parameters that ``params`` validates), right-end model and tolerance."""
@@ -410,7 +409,7 @@ class _SweepDef:
     right: float | Callable[..., float]
     right_model: str | None
     tol: float
-    params: dict[str, Callable[[float], float]] = field(default_factory=dict)
+    params: dict[str, Callable[[float], float]] = {}
 
     def check(self, params: dict) -> dict[str, float]:
         """The values of ``self.params``, validated and in that order."""
@@ -482,7 +481,7 @@ class SignCase(Enum):
     POSITIVE_THEN_NEGATIVE = "positive-then-negative"
 
 
-@dataclass(frozen=True)
+@_record
 class SignCaseReport:
     u: float
     p: float
@@ -565,7 +564,7 @@ def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:
 # --------------------------------------------------------------------------
 # Crossover search and sharpness falsifiers.
 
-@dataclass(frozen=True)
+@_record
 class CrossoverResult:
     """The largest radius where two bounds trade places: they are equal at
     r = 1 - delta and better_near_one is the tighter one on (1 - delta, 1)."""
@@ -577,7 +576,7 @@ class CrossoverResult:
     better_near_one: BoundSpec
 
 
-@dataclass(frozen=True)
+@_record
 class NoCrossover:
     """No sign change of a - b on (0, 1): one bound dominates globally."""
 
@@ -660,7 +659,7 @@ def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> t
 # --------------------------------------------------------------------------
 # Named verification suites (consumed by the CLI and the acceptance tests).
 
-@dataclass(frozen=True)
+@_record(hidden="metrics")
 class CheckResult:
     """One check of a suite: its printed detail line is rendered from the
     measured numbers in metrics, which take no part in equality."""
@@ -668,7 +667,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    metrics: dict = field(default_factory=dict, compare=False, repr=False)
+    metrics: dict = {}
 
 
 def _check(name: str, passed: bool, template: str, **metrics) -> CheckResult:

@@ -553,3 +553,24 @@ except AttributeError as exc:
 print(states)
 """)
         assert out == "[True, True, False, True, \"module 'ellipbounds' has no attribute 'nope'\", False]\n"
+
+
+class TestImportLean:
+    # the value classes are built without dataclasses, so no command loads it or inspect
+    def test_commands_leave_dataclasses_and_inspect_unloaded(self, tmp_path):
+        table = str(tmp_path / "table.csv")
+        out = run_fresh(f"""
+import contextlib, io, sys
+import ellipbounds.cli
+UNLOADED = lambda: "dataclasses" not in sys.modules and "inspect" not in sys.modules
+states = [UNLOADED()]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["eval", "--what", "E", "--r", "0.5"],
+                 ["enclose", "--r", "0.5", "--families", "all"],
+                 ["compare", "--start", "0.1", "--end", "0.9", "--points", "5",
+                  "--families", "all", "--output", {table!r}],
+                 ["verify", "--suite", "remarks"]):
+        states.append(ellipbounds.cli.main(argv) == 0 and UNLOADED())
+print(states)
+""", env={"ELLIP_GRID_POINTS": "1000"})
+        assert out == "[True, True, True, True, True]\n"

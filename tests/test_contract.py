@@ -6,7 +6,6 @@ domain error).  The one documented infinity is q_mean's overflow for p > 1;
 a sweep's right limit is +inf by definition when the claim diverges there.
 """
 
-import dataclasses
 import math
 import sys
 
@@ -110,19 +109,34 @@ GRID_CALLS = {
 
 def finite(value) -> bool:
     """Every float reachable from value through sequences, dict values and
-    dataclass fields (a check's metrics included) is finite; a divergent
-    sweep's right limit is exempt."""
+    the fields of the package's records (a check's metrics included) is
+    finite; a divergent sweep's right limit is exempt."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, (list, tuple)):
         return all(map(finite, value))
     if isinstance(value, dict):
         return all(map(finite, value.values()))
-    if dataclasses.is_dataclass(value):
+    if hasattr(type(value), "__match_args__"):
+        # a record: its instance dict holds every attribute, derived and uncompared ones too
         exempt = ("right_limit", "claimed_right") if getattr(value, "divergent_right", False) else ()
-        return all(finite(getattr(value, f.name)) for f in dataclasses.fields(value)
-                   if f.name not in exempt)
+        return all(finite(v) for name, v in vars(value).items() if name not in exempt)
     return True
+
+
+def test_finite_walks_every_record_field():
+    # finite() reaches every field of a record: derived, uncompared and private ones too
+    enc = eb.best_enclosure(0.5, [BoundSpec(Family.VUORINEN), *REMARK_PAIR])
+    check = eb.CheckResult("c", True, "d", {"r": 0.5})
+    assert [list(vars(x)) for x in (eb.Modulus(0.5), SPEC, enc, check)] == [
+        ["r", "r_comp"],
+        ["family", "q", "t", "p", "_at", "_args", "_side"],
+        ["lo", "hi", "lo_source", "hi_source", "values"],
+        ["name", "passed", "detail", "metrics"],
+    ]
+    assert finite(enc) and finite(check)
+    assert not finite(eb.Enclosure(enc.lo, enc.hi, *REMARK_PAIR, (math.nan,)))
+    assert not finite(eb.CheckResult("c", True, "d", {"r": math.nan}))
 
 
 def outcome(call, passed=lambda result: True) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -551,9 +550,24 @@ def _bits(x):
         return tuple(map(_bits, x))
     if isinstance(x, BoundSpec):
         return x.label
-    if dataclasses.is_dataclass(x):
-        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if hasattr(type(x), "__match_args__"):  # a record: every field is in its instance dict
+        return tuple(map(_bits, vars(x).values()))
     return x
+
+
+def _replace(record, **changes):
+    # record rebuilt through its __init__ fields with some of them changed
+    return type(record)(**{**{name: getattr(record, name) for name in record.__match_args__}, **changes})
+
+
+def test_walkers_reach_every_field():
+    # _bits reaches every field of a record, r_comp included; _replace rebuilds one
+    residuals = derivative_residuals(0.5)
+    assert [list(vars(x)) for x in (Modulus(0.5), elliptic_ke(0.5), residuals)] == [
+        ["r", "r_comp"], ["k_val", "e_val"], ["dk", "de", "d_e_minus_rc2k", "d_k_minus_e"]]
+    assert _bits(Modulus(0.5)) == ((0.5).hex(), Modulus(0.5).r_comp.hex())
+    rebuilt = _replace(residuals, de=1.0)
+    assert type(rebuilt) is type(residuals) and vars(rebuilt) == {**vars(residuals), "de": 1.0}
 
 
 # every public scalar call that takes a radius (or a Modulus) as its first argument
@@ -706,8 +720,8 @@ class TestFailureLines:
 
         def flawed(fn, grid, params=None):
             rep = sweep(fn, grid, params)
-            return dataclasses.replace(rep, left_limit=rep.claimed_left, right_limit=math.nan,
-                                       worst_violation=2.5e-7 if fn == "lemma22_2" else 0.0)
+            return _replace(rep, left_limit=rep.claimed_left, right_limit=math.nan,
+                            worst_violation=2.5e-7 if fn == "lemma22_2" else 0.0)
 
         monkeypatch.setattr(ellipbounds.verify, "sweep_monotone", flawed)
         return run_lemma_suite(1000)
@@ -733,7 +747,7 @@ class TestFailureLines:
         def dipped(t):
             return [f - 1e-3 if r == rs[400] else f for r, f in zip(t.r, sd.fn(t))]
 
-        monkeypatch.setitem(ellipbounds.verify._SWEEPS, "lemma22_1", dataclasses.replace(sd, fn=dipped))
+        monkeypatch.setitem(ellipbounds.verify._SWEEPS, "lemma22_1", _replace(sd, fn=dipped))
         res = run_lemma_suite(1000)[0]
         assert (res.name, res.passed, res.metrics["argmax_r"]) == ("lemma22_1", False, rs[399])
         assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=0(tol 0.001) "
@@ -754,7 +768,7 @@ class TestFailureLines:
             rep = classify(u, p, grid)
             if "eta" in flaw and rep.case_id is not SignCase.POSITIVE_THEN_NEGATIVE:
                 return rep  # only the mixed case has an eta
-            return dataclasses.replace(rep, **flaw)
+            return _replace(rep, **flaw)
 
         monkeypatch.setattr(ellipbounds.verify, "lemma26_classify", flawed)
         res = run_lemma_suite(1000)[-1]
@@ -817,7 +831,7 @@ class TestMetrics:
 
     def test_metrics_take_no_part_in_equality(self):
         res = run_remarks_suite(1000)[0]
-        bare = dataclasses.replace(res, metrics={})
+        bare = _replace(res, metrics={})
         assert res.metrics and bare == res and hash(bare) == hash(res)
         assert "metrics" not in repr(res)
 
