@@ -3,12 +3,14 @@
 checkouts, and print the comparison as JSON.
 
 A pass is split into the sections below by wrapping the `ellipbounds.verify`
-functions that do each one.  A section's time is exclusive: a nested
-section's time is its own, not its caller's.  "grid table" is the building
-of the cached grid tables (radii, complements, one AGM run per radius);
-"derived columns" is the part of it that builds the cancelling columns
-(`verify._table` inside a grid table), and a checkout without those reports
-0 for it.  What no wrapped
+functions and `verify._Table` methods that do each one.  A section's time is
+exclusive: a nested section's time is its own, not its caller's.  "tables"
+is the building of every table, grid or one-row, and its columns r, r', K
+and E (one AGM run per radius); "cancelling columns" is the building of the
+five cancelling columns of every table.  Where a checkout builds its tables
+is listed in SECTIONS: module functions for tables whose columns are all
+built at once, and `_Table.__getattr__` for tables whose columns are built
+on first read, where the column read decides the section.  What no wrapped
 function covers (the lemma 2.5 margins, the case sample, the suite loops)
 is "other".
 
@@ -41,20 +43,36 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# (section, a verify function whose exclusive time counts towards it)
+NAMES = ["tables", "cancelling columns", "sweeps", "classification", "validity", "falsifiers",
+         "remarks", "other"]
+
+
+def _column(table, name: str) -> str:
+    # the section of a column built on first read
+    return "tables" if name in ("r", "rc", "k", "e") else "cancelling columns"
+
+
+# (section or a function of the call's arguments that names it, a verify
+# function or "_Table.method" whose exclusive time counts towards it); a name
+# the checkout does not define is skipped
 SECTIONS = [
-    ("grid table", "_grid_table"),
-    ("grid table", "_grid_columns"),
-    ("derived columns", "_table"),
+    # tables whose columns are all built at once, in the functions that build them
+    ("tables", "_grid_table"),
+    ("tables", "_grid_columns"),
+    ("tables", "_radii"),
+    ("tables", "_columns"),
+    ("tables", "_one_row"),
+    ("tables", "_row"),
+    ("cancelling columns", "_table"),
+    # tables whose columns are built on first read
+    ("tables", "_Table.__init__"),
+    (_column, "_Table.__getattr__"),
     ("sweeps", "sweep_monotone"),
     ("classification", "lemma26_classify"),
     ("validity", "run_sharpness_suite"),
     ("falsifiers", "search_violation"),
     ("remarks", "run_remarks_suite"),
 ]
-# a section counted only inside another one: one-row tables outside the
-# grid tables stay in the section that builds them
-INSIDE = {"derived columns": "grid table"}
 
 
 def _child(suite: str, grid: int, passes: int) -> dict:
@@ -79,26 +97,27 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     stack: list[str] = ["other"]
     spent: dict[str, float] = {}
 
-    def wrap(section: str, fn):
+    def wrap(section, fn):
         def timed(*args, **kwargs):
-            if section in INSIDE and stack[-1] != INSIDE[section]:
-                return fn(*args, **kwargs)
-            stack.append(section)
+            stack.append(section(*args) if callable(section) else section)
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 dt = time.perf_counter() - t0
-                stack.pop()
-                spent[section] = spent.get(section, 0.0) + dt
+                name = stack.pop()
+                spent[name] = spent.get(name, 0.0) + dt
                 spent[stack[-1]] = spent.get(stack[-1], 0.0) - dt
         if hasattr(fn, "cache_clear"):
             timed.cache_clear = fn.cache_clear
         return timed
 
-    for section, name in SECTIONS:
-        if hasattr(verify, name):
-            setattr(verify, name, wrap(section, getattr(verify, name)))
+    for section, path in SECTIONS:
+        owner, _, name = path.rpartition(".")
+        owner = getattr(verify, owner, None) if owner else verify
+        # only what the module or class itself defines, not what a class inherits
+        if owner is not None and name in vars(owner):
+            setattr(owner, name, wrap(section, vars(owner)[name]))
     sections: dict[str, list[float]] = {}
     for _ in range(passes):
         spent.clear()
@@ -145,8 +164,7 @@ def main() -> int:
         for side in (sides if i % 2 == 0 else sides[::-1]):
             runs[side].append(_run(getattr(args, side).resolve(), args.suite, args.grid, args.passes))
 
-    names = list(dict.fromkeys(section for section, _ in SECTIONS)) + ["other"]
-    section = {side: {name: [r["sections_ms"].get(name, 0.0) for r in runs[side]] for name in names}
+    section = {side: {name: [r["sections_ms"].get(name, 0.0) for r in runs[side]] for name in NAMES}
                for side in sides}
     passes = {side: [r["pass_ms"] for r in runs[side]] for side in sides}
     result = {
@@ -156,10 +174,10 @@ def main() -> int:
             "second_better_pairs": sum(b < a for a, b in zip(passes["first"], passes["second"])),
         },
         "section_median_ms": {side: {name: round(statistics.median(section[side][name]), 3)
-                                     for name in names} for side in sides},
+                                     for name in NAMES} for side in sides},
         "section_second_better_pairs": {
             name: sum(b < a for a, b in zip(section["first"][name], section["second"][name]))
-            for name in names},
+            for name in NAMES},
     }
     print(json.dumps(result, indent=1))
     return 0

@@ -375,10 +375,14 @@ def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:
     lower, invalid = Side.LOWER, Side.INVALID
     split = lows, ups = [], []
     for i, spec in enumerate(candidates):
-        if spec._side is invalid:
+        try:
+            side = spec._side
+        except AttributeError:
+            raise ConfigurationError(f"candidate {spec!r} is not a BoundSpec") from None
+        if side is invalid:
             raise InvalidBoundError(f"{spec.label} lies on neither valid side of its sharp "
                                     "constants: " + _sharpness_hint(spec))
-        (lows if spec._side is lower else ups).append(i)
+        (lows if side is lower else ups).append(i)
     for idx, side in zip(split, ("lower", "upper")):
         if not idx:
             raise ConfigurationError(f"candidate list has no {side} bound")

@@ -2,17 +2,16 @@
 the bound proofs, grid sweeps with endpoint extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
-A grid's table holds the columns (r, r', K, E), with one AGM run per radius,
-and beside them five derived columns built once per table: the cancelling
+A table over ascending radii r in (0, 1) builds each other column on its
+first read: r', K and E (one AGM run per radius) and the cancelling
 combinations K - E, E - r'^2 K, 2E - r'^2 K - pi/2, (K - E) - (E - r'^2 K)
 and E^2 - r'^2 K^2.  Every auxiliary function is a column function, one list
 comprehension over a table's columns, and a public function such as
-lemma23_g(r) evaluates a one-row table through it.  The bound scans map a
-bound over the columns (r, r', K, E) alone.  Both are kept in three-entry
-caches that run_suite empties on entry.
+lemma23_g(r) evaluates a one-row table through it.  The grid tables of the
+last three sizes sit in one cache that run_suite empties on entry.
 
 Near r = 0 these combinations cancel catastrophically (the first three vanish
-like r^2, the last two like r^4), so each derived column holds its Maclaurin
+like r^2, the last two like r^4), so each such column holds its Maclaurin
 series in the rows below its cutoff, split off by bisection on the ascending
 radii, and the direct formula at and above it.  The coefficients are
 generated exactly from the hypergeometric series of K and E when the module
@@ -24,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from bisect import bisect_left
@@ -117,9 +115,11 @@ def _build_series(nmax: int) -> list[list[float]]:
     return [[float(x) for x in tbl] for tbl in (kme, emr, wmh, d2, dd)]
 
 
-# (cutoff, unit, coefficients) of each cancelling column, in _Table order
-_SERIES = list(zip((_CUT_R2, _CUT_R2, _CUT_R2, _CUT_R4, _CUT_R4),
-                   (HALF_PI, HALF_PI, HALF_PI, HALF_PI, HALF_PI * HALF_PI), _build_series(8)))
+# (cutoff, unit, coefficients) of each cancelling column: K - E, E - r'^2 K and 2E - r'^2 K - pi/2
+# vanish like r^2, (K - E) - (E - r'^2 K) and E^2 - r'^2 K^2 like r^4
+_SERIES = dict(zip(("kme", "emr", "wmh", "d2", "dd"),
+                   zip((_CUT_R2, _CUT_R2, _CUT_R2, _CUT_R4, _CUT_R4),
+                       (HALF_PI, HALF_PI, HALF_PI, HALF_PI, HALF_PI * HALF_PI), _build_series(8))))
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -130,60 +130,54 @@ def _horner(coeffs: list[float], x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Grid tables: the bound scans read the columns (r, r', K, E) alone, the
-# column functions a table with the cancelling columns beside them.
+# Tables: columns over ascending radii, each built on its first read.
 
-# the columns r, r', K, E, then K - E, E - r'^2 K and 2E - r'^2 K - pi/2, which
-# vanish like r^2, and (K - E) - (E - r'^2 K) and E^2 - r'^2 K^2, like r^4
-_Table = namedtuple("_Table", "r rc k e kme emr wmh d2 dd")
-
-
-def _columns(rs: Sequence[float], rcs: Sequence[float]) -> tuple:
-    # the columns (r, r', K, E) of the ascending radii rs in (0, 1) with their complements rcs
-    ks, es = array("d"), array("d")
-    for k, e in map(_agm_ke, rs, rcs):
-        ks.append(k)
-        es.append(e)
-    return rs, rcs, ks, es
+# each cancelling column's direct formula; d2 may read kme's and emr's series rows, as its cutoff covers theirs
+_DIRECT = {
+    "kme": lambda t: map(sub, t.k, t.e),
+    "emr": lambda t: [e - rc * rc * k for rc, k, e in zip(t.rc, t.k, t.e)],
+    "wmh": lambda t: [2.0 * e - rc * rc * k - HALF_PI for rc, k, e in zip(t.rc, t.k, t.e)],
+    "d2": lambda t: map(sub, t.kme, t.emr),
+    "dd": lambda t: [e * e - rc * rc * k * k for rc, k, e in zip(t.rc, t.k, t.e)],
+}
 
 
-def _table(columns: tuple) -> _Table:
-    # (r, r', K, E) and the cancelling columns: each directly on every row (d2 from the direct
-    # kme and emr), then in the rows below its cutoff (r < cutoff exactly) from its series
-    rs, rcs, ks, es = columns
-    rrk = [rc * rc * k for rc, k in zip(rcs, ks)]
-    kme = array("d", [k - e for k, e in zip(ks, es)])
-    emr = array("d", [e - x for e, x in zip(es, rrk)])
-    cols = (kme, emr, array("d", [2.0 * e - x - HALF_PI for e, x in zip(es, rrk)]),
-            array("d", [a - b for a, b in zip(kme, emr)]),
-            array("d", [e * e - x * k for e, x, k in zip(es, rrk, ks)]))
-    for col, (cut, unit, coeffs) in zip(cols, _SERIES):
-        for i in range(bisect_left(rs, cut)):
-            col[i] = unit * _horner(coeffs, rs[i] * rs[i])
-    return _Table(*columns, *cols)
+class _Table:
+    """Columns over ascending radii r in (0, 1), each an array("d"); the others,
+    rc (r'), k and e (K and E, one AGM run per radius) and the cancelling
+    columns named in _SERIES, are built on first read and kept in vars(self)."""
+
+    def __init__(self, rs: Iterable[float]) -> None:
+        self.r = array("d", rs)
+
+    def __getattr__(self, name: str) -> array:
+        # only for a column not built yet; no self.__dict__ read, which slows CPython 3.11's later reads
+        if name == "rc":
+            self.rc = col = array("d", map(_complement, self.r))
+        elif name == "k" or name == "e":
+            ks, es = array("d"), array("d")
+            for k, e in map(_agm_ke, self.r, self.rc):
+                ks.append(k)
+                es.append(e)
+            self.k, self.e = ks, es
+            col = ks if name == "k" else es
+        elif name in _SERIES:
+            # the direct formula, then the series in the rows below the cutoff (r < cutoff exactly)
+            cut, unit, coeffs = _SERIES[name]
+            rs, col = self.r, array("d", _DIRECT[name](self))
+            for i in range(bisect_left(rs, cut)):
+                col[i] = unit * _horner(coeffs, rs[i] * rs[i])
+            setattr(self, name, col)
+        else:
+            raise AttributeError(name)
+        return col
 
 
-# three entries each: one "all" run scans three grids, its own, 256 and 1000
-# points, and the sweeps and the classifications read the first two tables
-@functools.lru_cache(maxsize=3)
-def _radii(n: int) -> tuple[array, array]:
-    # columns (r, r') of the n-point grid, n checked by _size: its points lie in (0, 1), so no Modulus
-    rs = array("d", grid_open_unit(n))
-    return rs, array("d", map(_complement, rs))
-
-
-@functools.lru_cache(maxsize=3)
-def _grid_columns(n: int) -> tuple:
-    """The columns (r, r', K, E) of the n-point grid_open_unit grid, for a
-    grid size _size has checked; the bound scans map over them."""
-    return _columns(*_radii(n))
-
-
+# three entries: one "all" run scans three grids, its own, 256 and 1000 points
 @functools.lru_cache(maxsize=3)
 def _grid_table(n: int) -> _Table:
-    """The table of the n-point grid: its columns (r, r', K, E) and the
-    cancelling columns; the column functions map over it."""
-    return _table(_grid_columns(n))
+    """The table of the n-point grid_open_unit grid, for a grid size _size has checked."""
+    return _Table(grid_open_unit(n))
 
 
 # --------------------------------------------------------------------------
@@ -236,11 +230,6 @@ def _l27_F(t: _Table) -> list[float]:
     return [(w + HALF_PI) * (w + HALF_PI) * (1.0 - j / _PI2) for w, j in zip(t.wmh, _l22_7(t))]
 
 
-def _one_row(r: float) -> _Table:
-    # the table of the single radius r in (0, 1)
-    return _table(_columns((r,), (_complement(r),)))
-
-
 # Below this radius r^2 < 1e-80, so every swept function equals its claimed
 # r = 0+ limit to double precision, while r^2 and (E - r'^2 K)^2 in the
 # column functions go subnormal and then 0 further down (below r ~ 1e-162 and 1e-81).
@@ -255,7 +244,7 @@ def _public(fn: str, m: Modulus | float, **params: float) -> float:
     params = sd.check(params)
     if r < _LIMIT_R:
         return sd.limits(params)[0]
-    return sd.fn(_one_row(r), **params)[0]
+    return sd.fn(_Table((r,)), **params)[0]
 
 
 def lemma22_function(idx: int, m: Modulus | float) -> float:
@@ -295,7 +284,7 @@ def lemma25_check(p: float) -> Lemma25Margins:
 def lemma26_f(m: Modulus | float, u: float, p: float) -> float:
     """f = p log(1 + u r^2) - log((2/pi)(2E - r'^2 K)); zero at r = 0+,
     p log(1+u) + log(pi/4) at r = 1-."""
-    return _l26_f(_one_row(_radius(m, True)), _param("u", u), _param("p", p))[0]
+    return _l26_f(_Table((_radius(m, True),)), _param("u", u), _param("p", p))[0]
 
 
 def lemma27_F(m: Modulus | float) -> float:
@@ -538,7 +527,7 @@ def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
         case = SignCase.ALL_POSITIVE if starts_positive else SignCase.ALL_NEGATIVE
     elif len(flips) == 1 and starts_positive:
         case = SignCase.POSITIVE_THEN_NEGATIVE
-        eta = _bisect(lambda r, _: _l26_f(_one_row(r), uf, pf)[0] > 0.0, *flips[0][:2], 1e-10)
+        eta = _bisect(lambda r, _: _l26_f(_Table((r,)), uf, pf)[0] > 0.0, *flips[0][:2], 1e-10)
     else:
         raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
                                 f"starting {'positive' if starts_positive else 'negative'}")
@@ -588,9 +577,9 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
-def _difference(a: BoundSpec, b: BoundSpec, rs: Sequence[float], rcs: Sequence[float]) -> Iterator[float]:
-    # a - b at each radius of the columns (r, r')
-    return map(sub, map(a._at, rs, rcs), map(b._at, rs, rcs))
+def _difference(a: BoundSpec, b: BoundSpec, t: _Table) -> Iterator[float]:
+    # a - b at each radius of the table
+    return map(sub, map(a._at, t.r, t.rc), map(b._at, t.r, t.rc))
 
 
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
@@ -604,8 +593,10 @@ def find_crossover(a: BoundSpec, b: BoundSpec, scan: int = 1000) -> CrossoverRes
     sign-less so that pairs which agree to machine precision near an
     endpoint do not produce noise crossovers; if no solid sign change
     exists, the globally dominant bound is reported instead."""
-    rs, rcs = _radii(_size(scan))
-    solid, flips = _sign_changes(rs, _difference(a, b, rs, rcs), _SOLID)
+    if not (isinstance(a, BoundSpec) and isinstance(b, BoundSpec)):
+        raise ConfigurationError(f"bounds must be BoundSpec instances, got {a!r} and {b!r}")
+    table = _grid_table(_size(scan))
+    solid, flips = _sign_changes(table.r, _difference(a, b, table), _SOLID)
     if not flips:
         if not solid:
             raise VerificationError("bounds agree to machine precision everywhere; no dominance order")
@@ -635,10 +626,10 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return x, max(fc, fd)
 
 
-def _violations(spec: BoundSpec, side: Side, rs, rcs, ks, es) -> Iterator[float]:
+def _violations(spec: BoundSpec, side: Side, t: _Table) -> Iterator[float]:
     # how far spec lies on the wrong side of E, claimed as a side bound, per row
-    bs = map(spec._at, rs, rcs)
-    return map(sub, bs, es) if side is Side.LOWER else map(sub, es, bs)
+    bs = map(spec._at, t.r, t.rc)
+    return map(sub, bs, t.e) if side is Side.LOWER else map(sub, t.e, bs)
 
 
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:
@@ -646,14 +637,15 @@ def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> t
     bound the violation is bound - E, for an upper bound E - bound.  Coarse
     grid argmax followed by golden-section refinement; returns (r, violation)
     with violation > 0 meaning the claim fails at r."""
+    if not isinstance(spec, BoundSpec):
+        raise ConfigurationError(f"bound must be a BoundSpec, got {spec!r}")
     if claimed_side not in (Side.LOWER, Side.UPPER):
         raise ConfigurationError("claimed side must be LOWER or UPPER")
-    table = _grid_columns(_size(scan))
-    rs, vs = table[0], list(_violations(spec, claimed_side, *table))
+    table = _grid_table(_size(scan))
+    rs, vs = table.r, list(_violations(spec, claimed_side, table))
     i = vs.index(max(vs))
     lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    # the refinement evaluates single rows (r, r', K, E): zip(row) gives their columns
-    return _golden_max(lambda r: next(_violations(spec, claimed_side, *zip(_row(r)))), lo, hi)
+    return _golden_max(lambda r: next(_violations(spec, claimed_side, _Table((r,)))), lo, hi)
 
 
 # --------------------------------------------------------------------------
@@ -743,15 +735,15 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
     falsifiers on one shared 1000-point table: each sharp constant perturbed
     by 1e-3 into the invalid region must produce a located violation."""
     n = _size(grid_points)
-    valid = _grid_columns(n)
+    valid = _grid_table(n)
     out: list[CheckResult] = []
     for spec in default_candidates():
         side = spec.side
-        vs = list(_violations(spec, side, *valid))
+        vs = list(_violations(spec, side, valid))
         worst = max(vs)
         out.append(_check(f"valid {side.value} bound: {spec.label}", worst <= _VALIDITY_SLACK,
                           "max signed violation {violation:.6g} at r={r:.6g} (slack {slack:.6g}, grid={grid})",
-                          violation=worst, r=valid[0][vs.index(worst)], slack=_VALIDITY_SLACK,
+                          violation=worst, r=valid.r[vs.index(worst)], slack=_VALIDITY_SLACK,
                           grid=n))
     for name, spec, side in _falsifier_plan():
         r, v = search_violation(spec, side, 1000)
@@ -764,22 +756,22 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """The bound-comparison claims: the coincidence identity, the quadratic
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
-    rs, rcs = _radii(_size(grid_points))
+    table = _grid_table(_size(grid_points))
     aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
     coeff = 1.0 - 8.0 / _PI2
     worst42 = max(abs((1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
                                        + ((1.0 - MU_STAR) + MU_STAR * x) ** 2) - coeff * (1.0 - x) ** 2)
-                  for x in rs)
+                  for x in table.r)
     # each identity: check name, detail line, largest residual on the grid, tolerance
     out = [_check(name, worst < tol, template, max_residual=worst, tol=tol) for name, template, worst, tol in [
         ("remark 4.1 coincidence", "max |alzer_qiu - thm11(alpha_star)| = {max_residual:.6g} (tol {tol:.6g})",
-         max(map(abs, _difference(aq, t11, rs, rcs))), 1e-15),
+         max(map(abs, _difference(aq, t11, table))), 1e-15),
         ("remark 4.2 identity", "max residual {max_residual:.6g} (tol {tol:.6g})", worst42, 1e-14),
     ]]
 
     vuo = BoundSpec(Family.VUORINEN)
-    gaps = list(_difference(BoundSpec(Family.COR31_LOWER), vuo, rs, rcs))
-    min_gap, min_gap_mid = min(gaps), min(gaps[bisect_left(rs, 0.1):], default=math.inf)
+    gaps = list(_difference(BoundSpec(Family.COR31_LOWER), vuo, table))
+    min_gap, min_gap_mid = min(gaps), min(gaps[bisect_left(table.r, 0.1):], default=math.inf)
     out.append(_check("remark 4.5 dominance", min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
                       "min(cor31_lower - vuorinen) = {min_gap:.6g} on grid, {min_gap_mid:.6g} on r >= 0.1",
                       min_gap=min_gap, min_gap_mid=min_gap_mid))
@@ -802,11 +794,9 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
 
 
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    # empty table caches per call, so every run builds each grid's tables once
+    # empty the table cache per call, so every run builds each grid's columns once
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    _radii.cache_clear()
-    _grid_columns.cache_clear()
     _grid_table.cache_clear()
     runs = (run_lemma_suite, run_sharpness_suite, run_remarks_suite)
     return [res for suite, run in zip(SUITE_NAMES, runs) if name in (suite, "all")

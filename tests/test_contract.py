@@ -6,8 +6,10 @@ domain error).  The one documented infinity is q_mean's overflow for p > 1;
 a sweep's right limit is +inf by definition when the claim diverges there.
 """
 
+import functools
 import math
 import sys
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,10 @@ CALLS = {
     "lemma26_classify p": lambda x: eb.lemma26_classify(0.3, x, 100),
     "sweep_monotone p": lambda x: eb.sweep_monotone("lemma24_h", 1000, {"p": x}),
     "sweep_monotone fn": lambda x: eb.sweep_monotone(x, 1000),
+    "best_enclosure candidate": lambda x: eb.best_enclosure(0.5, [x, *eb.default_candidates()]),
+    "find_crossover a": lambda x: eb.find_crossover(x, REMARK_PAIR[1]),
+    "find_crossover b": lambda x: eb.find_crossover(REMARK_PAIR[0], x),
+    "search_violation spec": lambda x: eb.search_violation(x, Side.LOWER),
     "GridSpec start": lambda x: GridSpec(x, 0.5, 11).values(),
     "GridSpec end": lambda x: GridSpec(0.1, x, 11).values(),
 }
@@ -110,7 +116,8 @@ GRID_CALLS = {
 def finite(value) -> bool:
     """Every float reachable from value through sequences, dict values and
     the fields of the package's records (a check's metrics included) is
-    finite; a divergent sweep's right limit is exempt."""
+    finite; a divergent sweep's right limit is exempt.  Any leaf that is not
+    a type the package returns fails."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, (list, tuple)):
@@ -121,7 +128,8 @@ def finite(value) -> bool:
         # a record: its instance dict holds every attribute, derived and uncompared ones too
         exempt = ("right_limit", "claimed_right") if getattr(value, "divergent_right", False) else ()
         return all(finite(v) for name, v in vars(value).items() if name not in exempt)
-    return True
+    # str, int and bool, None, Family/Side/Direction/SignCase members, BoundSpec._at
+    return value is None or isinstance(value, (str, int, Enum, functools.partial))
 
 
 def test_finite_walks_every_record_field():
@@ -137,6 +145,14 @@ def test_finite_walks_every_record_field():
     assert finite(enc) and finite(check)
     assert not finite(eb.Enclosure(enc.lo, enc.hi, *REMARK_PAIR, (math.nan,)))
     assert not finite(eb.CheckResult("c", True, "d", {"r": math.nan}))
+
+
+@pytest.mark.parametrize("leaf", [object(), 1j, b"x", {0.5}, range(2), lambda: 0.5],
+                         ids=["object", "complex", "bytes", "set", "range", "function"])
+def test_finite_rejects_unknown_leaves(leaf):
+    # a type finite() does not know is a failure, not a pass, also inside a record
+    assert not finite(leaf)
+    assert not finite(eb.CheckResult("c", True, "d", {"x": leaf}))
 
 
 def outcome(call, passed=lambda result: True) -> int:

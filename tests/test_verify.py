@@ -1,5 +1,6 @@
 import functools
 import math
+from array import array
 
 import mpmath
 import numpy
@@ -42,19 +43,17 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
-from ellipbounds.core import _complement, _row, elliptic_ke
+from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
     _CUT_R2,
     _CUT_R4,
     _SERIES,
     _SWEEPS,
-    _columns,
+    _Table,
     _falsifier_plan,
     _grid_table,
     _horner,
-    _one_row,
     _solve3,
-    _table,
     grid_open_unit,
     lemma26_case_sample,
     lemma26_expected_case,
@@ -81,9 +80,14 @@ SWEEPS = [(fn, {}) for fn in sweep_ids() if fn != "lemma24_h"]
 SWEEPS += [("lemma24_h", {"p": 0.5}), ("lemma24_h", {"p": 2.0})]
 
 
+# every column of a table: (r, r', K, E), then the cancelling columns
+BASE = ("r", "rc", "k", "e")
+COLUMNS = BASE + tuple(_SERIES)
+
+
 def table_of(rs):
     # the table of the ascending radii rs, built as a grid's table is
-    return _table(_columns(rs, list(map(_complement, rs))))
+    return _Table(rs)
 
 
 @pytest.mark.parametrize("fn,params", SWEEPS)
@@ -91,7 +95,7 @@ def test_table_path_matches_public_path(fn, params):
     # a sweep reads grid-table rows, which hold _row of their radius exactly;
     # the public function evaluates a one-row table of its own
     table = _grid_table(7)
-    assert list(zip(*table[:4])) == [_row(r) for r in table.r]
+    assert list(zip(table.r, table.rc, table.k, table.e)) == [_row(r) for r in table.r]
     swept = _SWEEPS[fn].fn(table_of(AGREEMENT_RADII), **params)
     assert swept == [PUBLIC[fn](r, **params) for r in AGREEMENT_RADII]
 
@@ -124,7 +128,7 @@ def test_series_blocks_match_extended_precision(r):
     # cancelling columns of one table that holds every radius
     table = table_of(SERIES_RADII)
     i = SERIES_RADII.index(r)
-    mine = [column[i] for column in table[4:]]
+    mine = [getattr(table, name)[i] for name in _SERIES]
     for got, ref in zip(mine, mp_blocks(r)):
         assert got == pytest.approx(float(ref), rel=5e-10)
 
@@ -140,18 +144,19 @@ def test_derived_columns_switch_at_the_cutoffs():
     rs = sorted({*grid_open_unit(1000), *_ulps(_CUT_R2), *_ulps(_CUT_R4)})
     table = table_of(rs)
     for i, r in enumerate(rs):
-        assert [column[i] for column in table] == [column[0] for column in _one_row(r)], r
+        one_row = _Table((r,))
+        assert [getattr(table, c)[i] for c in COLUMNS] == [getattr(one_row, c)[0] for c in COLUMNS], r
     direct = {"K - E": lambda r, rc, k, e: k - e,
               "E - r'^2 K": lambda r, rc, k, e: e - rc * rc * k,
               "2E - r'^2 K - pi/2": lambda r, rc, k, e: 2.0 * e - rc * rc * k - math.pi / 2.0,
               "(K - E) - (E - r'^2 K)": lambda r, rc, k, e: (k - e) - (e - rc * rc * k),
               "E^2 - r'^2 K^2": lambda r, rc, k, e: e * e - rc * rc * k * k}
-    for (name, formula), column, (cut, unit, coeffs) in zip(direct.items(), table[4:], _SERIES):
+    for (name, formula), (column, (cut, unit, coeffs)) in zip(direct.items(), _SERIES.items()):
         for r in _ulps(_CUT_R2) + _ulps(_CUT_R4):
             i = rs.index(r)
-            series, value = unit * _horner(coeffs, r * r), formula(*(col[i] for col in table[:4]))
+            series, value = unit * _horner(coeffs, r * r), formula(*(getattr(table, c)[i] for c in BASE))
             # the two forms differ in the last bits here, so the column shows which one it holds
-            assert series != value and column[i] == (series if r < cut else value), (name, r)
+            assert series != value and getattr(table, column)[i] == (series if r < cut else value), (name, r)
 
 
 class TestLemma22:
@@ -654,8 +659,8 @@ class TestColumnScans:
             count[0] += 1
             return agm_ke(r, rc)
 
-        # standalone scans leave the three tables cached; run_suite empties
-        # the cache, so a warm run does the same work as a cold one
+        # standalone scans leave their tables cached; run_suite empties the
+        # cache, so a warm run does the same work as a cold one
         sweep_monotone("lemma22_1", 2000)
         lemma26_classify(0.3, 1.0)
         search_violation(_falsifier_plan()[0][1], Side.LOWER)
@@ -667,6 +672,31 @@ class TestColumnScans:
             # one run per radius of the 2000-, 256- and 1000-point tables, plus
             # the bisection and golden-section steps
             assert 2000 + 256 + 1000 <= count[0] <= 2000 + 2500
+
+    @pytest.mark.parametrize("suite, built", [("sharpness", BASE), ("remarks", ("r", "rc"))])
+    def test_suite_builds_only_the_columns_it_reads(self, suite, built):
+        # the bound scans read (r, r', K, E), the remark and crossover scans (r, r')
+        run_suite(suite, grid_points=2000)
+        columns = vars(_grid_table(2000))
+        assert sorted(columns) == sorted(built)
+        assert all(type(col) is array and col.typecode == "d" for col in columns.values())
+
+    def test_bisection_step_builds_only_the_column_it_reads(self, monkeypatch):
+        # each bisection step of a mixed-case classification is a one-row
+        # table that builds 2E - r'^2 K - pi/2 and the columns under it
+        tables = []
+
+        class Recorded(_Table):
+            def __init__(self, rs):
+                super().__init__(rs)
+                tables.append(self)
+
+        monkeypatch.setattr(ellipbounds.verify, "_Table", Recorded)
+        u, p, _ = next(s for s in lemma26_case_sample() if s[2] is SignCase.POSITIVE_THEN_NEGATIVE)
+        assert lemma26_classify(u, p).case_id is SignCase.POSITIVE_THEN_NEGATIVE
+        steps = [vars(t) for t in tables if len(t.r) == 1]
+        assert len(steps) > 20
+        assert all(sorted(step) == sorted(BASE + ("wmh",)) for step in steps)
 
 
 class TestSuites:
