@@ -58,6 +58,12 @@ OUTPUTS = [
     *((f"compare uniform {n}", {},
        ["compare", "--start", "1e-6", "--end", "0.999999", "--points", n,
         "--families", *FAMILIES, "--output", "table.csv"], "csv") for n in ("2", "513")),
+    # each distinct kernel runs once per chunk: a repeated spec, and the cor31 specs beside the thm12
+    # specs they equal bit for bit
+    ("compare repeated kernels 3000", {},
+     ["compare", "--start", "1e-6", "--end", "0.999999", "--points", "3000", "--families", "cor31-lower",
+      "thm12-lower:p=2", "cor31-upper", "thm12-upper:p=0.5", "vuorinen", "thm11:q=0.05", "vuorinen",
+      "--output", "table.csv"], "csv"),
     ("compare extreme radii 257", {},
      ["compare", "--start", "5e-324", "--end", repr(1.0 - 2.0**-53), "--points", "257",
       "--families", *FAMILIES, "--output", "table.csv"], "csv"),

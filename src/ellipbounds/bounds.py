@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _param, _radius, _record
 from .errors import ConfigurationError, InvalidBoundError
@@ -123,27 +123,24 @@ def thm12_upper_threshold(p: float) -> float:
     return _t_thresholds(_param("p", p))[1]
 
 
-# Kernels: one flop sequence per distinct closed form, on (*args, r, r') with r in
-# (0, 1) validated; BoundSpec._at binds _DERIVED's r-free args, rounded as in the closed form.
-
-def _vuorinen(r: float, rc: float) -> float:
-    return HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)
-
-
-def _alzer_qiu(r: float, rc: float) -> float:
-    r2 = r * r
-    return _QUARTER_PI * (math.sqrt(1.0 - ALZER_ALPHA * r2) + math.sqrt(1.0 - ALZER_BETA * r2))
-
-
-def _thm11(q: float, q1: float, r: float, rc: float) -> float:
-    rc2 = rc * rc
-    return _QUARTER_PI * (math.sqrt(q + q1 * rc2) + math.sqrt(q1 + q * rc2))
-
-
-def _thm12(t: float, t1: float, c: float, e: float, p: float, r: float, rc: float) -> float:
-    x = t + t1 * rc
-    y = t1 + t * rc
-    return c * (1.0 + rc) ** e * (x * x + y * y) ** p
+# Kernels: one expression per distinct closed form in its arguments, r and rc (r' with r in (0, 1)
+# validated), compiled into the scalar kernel name(*args, r, rc), which BoundSpec._at binds to
+# _DERIVED's r-free args, and the column kernel name_col(*args, rs, rcs), one list comprehension
+# with no frame per value; each (x := ...) is a temporary of the closed form, so both make the
+# same flops in the same order.
+_KERNELS = {
+    "_vuorinen": ("", "HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)"),
+    "_alzer_qiu": ("", "_QUARTER_PI * (math.sqrt(1.0 - ALZER_ALPHA * (r2 := r * r))"
+                       " + math.sqrt(1.0 - ALZER_BETA * r2))"),
+    "_thm11": ("q, q1, ", "_QUARTER_PI * (math.sqrt(q + q1 * (rc2 := rc * rc)) + math.sqrt(q1 + q * rc2))"),
+    "_thm12": ("t, t1, c, e, p, ",
+               "c * (1.0 + rc) ** e * ((x := t + t1 * rc) * x + (y := t1 + t * rc) * y) ** p"),
+}
+# module attributes under their own names, so that a pickled BoundSpec._at finds its kernel
+exec("".join(f"def {name}({args}r, rc):\n return {expr}\n"
+             f"def {name}_col({args}rs, rcs):\n return [{expr} for r, rc in zip(rs, rcs)]\n"
+             for name, (args, expr) in _KERNELS.items()), globals())
+_COLUMN = {globals()[name]: globals()[name + "_col"] for name in _KERNELS}
 
 
 _DERIVED = {_thm11: lambda q: (q, 1.0 - q),
@@ -240,9 +237,9 @@ class BoundSpec:
     inequalities under which they are stated; parameters strictly between
     the two thresholds give Side.INVALID.  The kernel, its arguments and
     the side are resolved once, at construction, into ``_at``, ``_args``
-    and ``_side``, which are not fields; ``_at(r, r')`` is the kernel with
-    its arguments bound (a ``functools.partial``), which the verify scans
-    map over the columns of a grid table with no wrapper frame.
+    and ``_side``, which are not fields; ``_at(r, r')`` is the scalar kernel
+    with its arguments bound (a ``functools.partial``), and ``_values``
+    hands ``_at.args`` to the matching column kernel for whole columns.
     """
 
     family: Family
@@ -370,6 +367,8 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
 def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:
     # the indices of the lower and of the upper candidates, or the first
     # reason the list gives no enclosure
+    if not isinstance(candidates, (list, tuple)):
+        raise ConfigurationError(f"candidates must be a list or tuple of BoundSpec, got {candidates!r}")
     if not candidates:
         raise ConfigurationError("no candidate bounds given")
     lower, invalid = Side.LOWER, Side.INVALID
@@ -393,10 +392,18 @@ def _columns(rs: list[float], candidates: list[BoundSpec], split: tuple[list[int
     # best_enclosure's rows as columns r, E, each candidate's value, lo and hi,
     # for radii already known to lie in (0, 1) and split = _split(candidates)
     rcs = list(map(_complement, rs))
-    cols = [list(map(spec._at, rs, rcs)) for spec in candidates]
+    cols = _values(candidates, rs, rcs)
     # the first column repeated keeps max and min at two arguments or more
     lows, ups = ([cols[i] for i in (*idx, idx[0])] for idx in split)
     return [rs, [e for _, e in map(_agm_ke, rs, rcs)], *cols, list(map(max, *lows)), list(map(min, *ups))]
+
+
+def _values(specs: Iterable[BoundSpec], rs: Sequence[float], rcs: Sequence[float]) -> list[list[float]]:
+    # each spec's column kernel at each (r, r'), run once per distinct (kernel, args): cor31-lower
+    # is thm12 at (t1*(2), 2) bit for bit, and cor31-upper thm12 at (t2*(1/2), 1/2)
+    keys = [(spec._at.func, spec._at.args) for spec in specs]
+    found = {key: _COLUMN[key[0]](*key[1], rs, rcs) for key in dict.fromkeys(keys)}
+    return [found[key] for key in keys]
 
 
 _A_BOUND = {Side.LOWER: "a lower bound", Side.UPPER: "an upper bound"}

@@ -26,8 +26,8 @@ from array import array
 from enum import Enum
 from fractions import Fraction
 from bisect import bisect_left
-from itertools import chain
-from operator import sub
+from itertools import chain, islice
+from operator import indexOf, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bounds import (
@@ -38,6 +38,7 @@ from .bounds import (
     Family,
     Side,
     _u_thresholds,
+    _values,
     default_candidates,
     thm12_lower_threshold,
     thm12_upper_threshold,
@@ -575,11 +576,14 @@ class NoCrossover:
 
 
 _SOLID = 1e-12
+_BLOCK = 1024
 
 
 def _difference(a: BoundSpec, b: BoundSpec, t: _Table) -> Iterator[float]:
-    # a - b at each radius of the table
-    return map(sub, map(a._at, t.r, t.rc), map(b._at, t.r, t.rc))
+    # a - b at each radius of the table, from both column kernels over blocks of rows, so that
+    # neither bound's whole column is held at once
+    for i in range(0, len(t.r), _BLOCK):
+        yield from map(sub, *_values((a, b), t.r[i:i + _BLOCK], t.rc[i:i + _BLOCK]))
 
 
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
@@ -626,10 +630,19 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return x, max(fc, fd)
 
 
-def _violations(spec: BoundSpec, side: Side, t: _Table) -> Iterator[float]:
-    # how far spec lies on the wrong side of E, claimed as a side bound, per row
-    bs = map(spec._at, t.r, t.rc)
-    return map(sub, bs, t.e) if side is Side.LOWER else map(sub, t.e, bs)
+def _violation(at: Callable[[float, float], float], lower: bool, r: float) -> float:
+    # a golden-section step: bound - E at r for a claimed lower bound, else E - bound
+    r, rc, _, e = _row(r)
+    return at(r, rc) - e if lower else e - at(r, rc)
+
+
+def _worst_violation(spec: BoundSpec, side: Side, t: _Table) -> tuple[float, int]:
+    # the largest violation of spec claimed as a side bound (bound - E for a lower bound,
+    # E - bound for an upper one) on the table, and its first row, with no list of violations
+    (bs,) = _values((spec,), t.r, t.rc)
+    a, b = (bs, t.e) if side is Side.LOWER else (t.e, bs)
+    worst = max(map(sub, a, b))
+    return worst, indexOf(map(sub, a, b), worst)
 
 
 def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> tuple[float, float]:
@@ -642,10 +655,9 @@ def search_violation(spec: BoundSpec, claimed_side: Side, scan: int = 1000) -> t
     if claimed_side not in (Side.LOWER, Side.UPPER):
         raise ConfigurationError("claimed side must be LOWER or UPPER")
     table = _grid_table(_size(scan))
-    rs, vs = table.r, list(_violations(spec, claimed_side, table))
-    i = vs.index(max(vs))
-    lo, hi = rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)]
-    return _golden_max(lambda r: next(_violations(spec, claimed_side, _Table((r,)))), lo, hi)
+    rs, (_, i) = table.r, _worst_violation(spec, claimed_side, table)
+    step = functools.partial(_violation, spec._at, claimed_side is Side.LOWER)
+    return _golden_max(step, rs[max(i - 1, 0)], rs[min(i + 1, len(rs) - 1)])
 
 
 # --------------------------------------------------------------------------
@@ -737,14 +749,17 @@ def run_sharpness_suite(grid_points: int = 10_000) -> list[CheckResult]:
     n = _size(grid_points)
     valid = _grid_table(n)
     out: list[CheckResult] = []
+    # one scan per distinct (kernel, args, side): cor31-lower and cor31-upper repeat two thm12 specs
+    found: dict[tuple, tuple[float, int]] = {}
     for spec in default_candidates():
         side = spec.side
-        vs = list(_violations(spec, side, valid))
-        worst = max(vs)
+        key = (spec._at.func, spec._at.args, side)
+        if key not in found:
+            found[key] = _worst_violation(spec, side, valid)
+        worst, i = found[key]
         out.append(_check(f"valid {side.value} bound: {spec.label}", worst <= _VALIDITY_SLACK,
                           "max signed violation {violation:.6g} at r={r:.6g} (slack {slack:.6g}, grid={grid})",
-                          violation=worst, r=valid.r[vs.index(worst)], slack=_VALIDITY_SLACK,
-                          grid=n))
+                          violation=worst, r=valid.r[i], slack=_VALIDITY_SLACK, grid=n))
     for name, spec, side in _falsifier_plan():
         r, v = search_violation(spec, side, 1000)
         out.append(_check(f"falsify {name}", v > _SOLID, "violation {violation:.6g} located at r={r:.6g}",
@@ -770,8 +785,11 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     ]]
 
     vuo = BoundSpec(Family.VUORINEN)
-    gaps = list(_difference(BoundSpec(Family.COR31_LOWER), vuo, table))
-    min_gap, min_gap_mid = min(gaps), min(gaps[bisect_left(table.r, 0.1):], default=math.inf)
+    # the minima on r < 0.1 and on r >= 0.1, in one pass with no list of gaps
+    gaps = _difference(BoundSpec(Family.COR31_LOWER), vuo, table)
+    below = min(islice(gaps, bisect_left(table.r, 0.1)), default=math.inf)
+    min_gap_mid = min(gaps, default=math.inf)
+    min_gap = min(below, min_gap_mid)
     out.append(_check("remark 4.5 dominance", min_gap >= -_VALIDITY_SLACK and min_gap_mid > 0.0,
                       "min(cor31_lower - vuorinen) = {min_gap:.6g} on grid, {min_gap_mid:.6g} on r >= 0.1",
                       min_gap=min_gap, min_gap_mid=min_gap_mid))

@@ -39,8 +39,10 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
+from ellipbounds import bounds
 from ellipbounds.bounds import _columns, _split
 from ellipbounds.cli import GridSpec, Spacing
+from ellipbounds.core import _complement
 
 HALF_PI = math.pi / 2.0
 
@@ -489,10 +491,16 @@ class TestBestEnclosure:
              "thm11:q=0.12 lies on neither valid side"),
             (0.5, [bar], ConfigurationError, "candidate list has no lower bound"),
             (0.5, [vuo], ConfigurationError, "candidate list has no upper bound"),
+            # an argument that is not a list or tuple of specs, a str included
+            (0.5, 5, ConfigurationError, "candidates must be a list or tuple of BoundSpec, got 5"),
+            (0.5, "vuorinen", ConfigurationError,
+             "candidates must be a list or tuple of BoundSpec, got 'vuorinen'"),
+            (0.5, [vuo, "barnard"], ConfigurationError, "candidate 'barnard' is not a BoundSpec"),
         ]:
             with pytest.raises(exc) as info:
                 best_enclosure(r, cands)
             assert type(info.value) is exc and str(info.value).startswith(message)
+        assert best_enclosure(0.5, (vuo, bar)) == best_enclosure(0.5, [vuo, bar])
 
 
 class TestParseBoundSpec:
@@ -573,3 +581,25 @@ class TestColumns:
         *_, lo_col, hi_col = _columns(rs, cands, _split(cands))
         assert lo_col == list(map(vuorinen_lower, rs))
         assert hi_col == list(map(barnard_upper, rs))
+
+    def test_each_distinct_kernel_runs_once(self, monkeypatch):
+        # cor31-lower is thm12-lower at p = 2 and cor31-upper thm12-upper at
+        # p = 1/2, bit for bit; a repeated spec is the same kernel again
+        runs = []
+
+        def counting(kernel, column):
+            def run(*args):
+                runs.append((kernel, args[:-2]))
+                return column(*args)
+            return run
+
+        for kernel, column in list(bounds._COLUMN.items()):
+            monkeypatch.setitem(bounds._COLUMN, kernel, counting(kernel, column))
+        cands = COLUMN_SPECS + [parse_bound_spec(s) for s in ("thm12-lower:p=2", "thm12-upper:p=0.5",
+                                                               "thm11:q=0.05", "vuorinen")]
+        cols = _columns(grid(7), cands, _split(cands))[2:-2]
+        distinct = {(spec._at.func, spec._at.args) for spec in cands}
+        assert len(distinct) == len(cands) - 6
+        assert sorted(runs, key=repr) == sorted(distinct, key=repr)
+        for spec, col in zip(cands, cols):
+            assert col == list(map(spec._at, grid(7), map(_complement, grid(7))))

@@ -43,6 +43,7 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
+from ellipbounds.bounds import _COLUMN
 from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
     _CUT_R2,
@@ -63,6 +64,7 @@ from ellipbounds.verify import (
     run_suite,
     sweep_ids,
 )
+from test_bounds import VALUE_SPECS
 
 PI2 = math.pi * math.pi
 
@@ -641,10 +643,14 @@ class TestColumnScans:
     # the scans map bound kernels and row functions over the columns of one
     # grid table per run_suite call
     def test_column_map_is_the_scalar_path(self):
-        rs = [1e-300, 1e-8, 0.5, 1 - 1e-12] + grid_open_unit(1000)
+        # the scalar kernel is the public path, and the column kernel the scalar kernel, bit for bit
+        rs = [1e-300, 1e-8, 0.5, 1 - 1e-12, 1 - 2**-53] + grid_open_unit(1000)
         rcs = [Modulus(r).r_comp for r in rs]
-        for spec in default_candidates() + [spec for _, spec, _ in _falsifier_plan()]:
-            assert list(map(spec._at, rs, rcs)) == [spec.evaluate(r) for r in rs], spec.label
+        for spec in default_candidates() + [spec for _, spec, _ in _falsifier_plan()] + VALUE_SPECS:
+            scalar = [x.hex() for x in map(spec._at, rs, rcs)]
+            assert scalar == [spec.evaluate(r).hex() for r in rs], spec.label
+            column = _COLUMN[spec._at.func](*spec._at.args, rs, rcs)
+            assert [x.hex() for x in column] == scalar, spec.label
 
     def test_all_is_the_three_suites(self):
         assert run_suite("all", grid_points=2000) == (run_lemma_suite(grid_points=2000)
