@@ -14,15 +14,28 @@ on first read, where the column read decides the section.  What no wrapped
 function covers (the lemma 2.5 margins, the case sample, the suite loops)
 is "other".
 
+The pass totals time `run_suite(SUITE, GRID)` as the CLI runs it, which
+for several suites may fork one child for the sharpness and remarks suites.
+A wrapper cannot see into that child, so the sections time the suites on
+the one-process path instead: the table cache emptied, then each selected
+suite runner called here.  A checkout that defines `verify._fan_out` also
+gets FAN_OUT, from passes of `run_suite` with the fan-out and the lemma
+suite time-stamped: the build of the main table, the pipe and the fork
+before the lemma suite; the lemma suite; and after it the wait for the child
+and the unpickling of its results.  The wait is how much longer the child
+ran than the lemma suite, plus the read and the unpickling: near 0 when the
+lemma suite is the critical path.
+
 Each checkout runs in its own interpreters, with its `src/` on PYTHONPATH
 and no bytecode written, so both sides are in the same bytecode-cache
 state.  One interpreter runs one unmeasured pass, then PASSES passes with
-no wrapper (the pass totals) and PASSES passes with the wrappers (the
-sections).  Every pass is bracketed by the benchmark's reference loop and
-scaled by it, as `benchmark/worker.py` scales a suite pass.  The two
-checkouts alternate, the first checkout first on even pair indices, for
-PAIRS pairs; the output gives each figure's median over the pairs and how
-many pairs the second checkout won.
+no wrapper (the pass totals), PASSES time-stamped passes (FAN_OUT) and
+PASSES passes with the wrappers (the sections), and reports its own peak
+RSS and that of its largest child.  Every pass is bracketed by the
+benchmark's reference loop and scaled by it, as `benchmark/worker.py`
+scales a suite pass.  The two checkouts alternate, the first checkout first
+on even pair indices, for PAIRS pairs; the output gives each figure's
+median over the pairs and how many pairs the second checkout won.
 
 Usage: python3 scripts/bench_verify.py FIRST SECOND [--pairs 10] [--passes 5] [--grid 10000]
                                      [--suite all|lemmas|sharpness|remarks]
@@ -35,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -45,6 +59,8 @@ HERE = Path(__file__).resolve().parent.parent
 
 NAMES = ["tables", "cancelling columns", "sweeps", "classification", "validity", "falsifiers",
          "remarks", "other"]
+FAN_OUT = ["table build and fork", "lemma suite", "wait for the child"]
+RUNNERS = {"lemmas": "run_lemma_suite", "sharpness": "run_sharpness_suite", "remarks": "run_remarks_suite"}
 
 
 def _column(table, name: str) -> str:
@@ -91,8 +107,41 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     def one_pass() -> None:
         verify.run_suite(suite, grid)
 
+    def in_process() -> None:
+        # the selected suites one after another here, as a one-process run_suite
+        verify._grid_table.cache_clear()
+        for name, runner in RUNNERS.items():
+            if suite in (name, "all"):
+                getattr(verify, runner)(grid)
+
     one_pass()
     totals = [scaled(one_pass) for _ in range(passes)]
+
+    fan_out: dict[str, list[float]] = {}
+    if hasattr(verify, "_fan_out"):
+        stamps: dict[str, float] = {}
+
+        def stamped(name, fn):
+            def timed(*args):
+                stamps[name] = time.perf_counter()
+                try:
+                    return fn(*args)
+                finally:
+                    stamps[name + " end"] = time.perf_counter()
+            return timed
+
+        originals = verify._fan_out, verify.run_lemma_suite
+        verify._fan_out, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])
+        for _ in range(passes):
+            stamps.clear()
+            ref0 = reference.loop_seconds()
+            one_pass()
+            factor = reference.scale(ref0, reference.loop_seconds())
+            if "fan" in stamps:
+                for name, (a, b) in zip(FAN_OUT, [("fan", "lemmas"), ("lemmas", "lemmas end"),
+                                                  ("lemmas end", "fan end")]):
+                    fan_out.setdefault(name, []).append((stamps[b] - stamps[a]) * 1e3 * factor)
+        verify._fan_out, verify.run_lemma_suite = originals
 
     stack: list[str] = ["other"]
     spent: dict[str, float] = {}
@@ -123,13 +172,16 @@ def _child(suite: str, grid: int, passes: int) -> dict:
         spent.clear()
         ref0 = reference.loop_seconds()
         t0 = time.perf_counter()
-        one_pass()
+        in_process()
         spent["other"] = spent.get("other", 0.0) + time.perf_counter() - t0
         factor = reference.scale(ref0, reference.loop_seconds())
         for section, s in spent.items():
             sections.setdefault(section, []).append(s * 1e3 * factor)
     return {"pass_ms": statistics.median(totals),
-            "sections_ms": {k: statistics.median(v) for k, v in sections.items()}}
+            "sections_ms": {k: statistics.median(v) for k, v in sections.items()},
+            "fan_out_ms": {k: statistics.median(v) for k, v in fan_out.items()},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 
 
 def _run(root: Path, suite: str, grid: int, passes: int) -> dict:
@@ -178,6 +230,12 @@ def main() -> int:
         "section_second_better_pairs": {
             name: sum(b < a for a, b in zip(section["first"][name], section["second"][name]))
             for name in NAMES},
+        # the fan-out passes, where the checkout has them: medians over the pairs, ms
+        "fan_out_median_ms": {side: {name: round(statistics.median(r["fan_out_ms"][name] for r in runs[side]), 3)
+                                     for name in FAN_OUT} for side in sides if runs[side][0]["fan_out_ms"]},
+        # this interpreter's peak RSS and that of its largest child (a fan-out child), MB
+        "peak_rss_mb": {side: {key: round(statistics.median(r[key] for r in runs[side]), 2)
+                               for key in ("peak_rss_mb", "children_peak_rss_mb")} for side in sides},
     }
     print(json.dumps(result, indent=1))
     return 0

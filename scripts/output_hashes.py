@@ -7,7 +7,10 @@ the CLI arguments, and what is hashed.  `stdout` hashes what the command
 prints, `csv` the table a `compare` writes (both require exit 0), and
 `streams` hashes stdout, stderr and the exit code together, for the runs
 whose messages and failures must stay the same.  The script prints each
-entry's name next to its hash.
+entry's name next to its hash.  An entry named in ONE_CPU runs in an
+interpreter whose affinity is set to one CPU (where os.sched_setaffinity
+exists), so `verify --suite all` takes its one-process path; each pair in
+EQUAL must hash the same in every root, or the exit code is 1.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -41,6 +44,8 @@ OUTPUTS = [
     *((f"verify {suite}, grid 2000", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", suite],
        "stdout") for suite in ("lemmas", "sharpness", "remarks")),
     ("verify all, grid 1000", {"ELLIP_GRID_POINTS": "1000"}, ["verify", "--suite", "all"], "stdout"),
+    ("verify all, grid 2000, one CPU", {"ELLIP_GRID_POINTS": "2000"}, ["verify", "--suite", "all"],
+     "stdout"),
     *((f"enclose all, r={r}", {}, ["enclose", "--r", r, "--families", "all"], "streams")
       for r in ("0.5", "1e-300", repr(1.0 - 2.0**-53))),
     *((f"crossover {a} {b}", {}, ["crossover", "--a", a, "--b", b], "streams")
@@ -88,14 +93,25 @@ OUTPUTS = [
       for families in (["thm11:q=0.13", "barnard"], ["barnard"], ["vuorinen", "thm11:q=0.13"],
                        ["thm12:t=0.51,p=1.3", "alzer-qiu", "thm11-lower"])),
 ]
+# entries run on one CPU, and pairs of entries whose outputs must be the same
+ONE_CPU = {"verify all, grid 2000, one CPU"}
+EQUAL = [("verify all, grid 2000", "verify all, grid 2000, one CPU")]
 
 
-def output_hash(root: Path, extra_env: dict[str, str], args: list[str], what: str) -> str:
+def _one_cpu() -> None:
+    # run in the started interpreter before it executes: one CPU of those it may use
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def output_hash(root: Path, extra_env: dict[str, str], args: list[str], what: str,
+                one_cpu: bool = False) -> str:
     env = {k: v for k, v in os.environ.items() if k != "ELLIP_GRID_POINTS"}
     env.update(extra_env, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [sys.executable, "-m", "ellipbounds.cli", *args]
-        proc = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, check=False)
+        proc = subprocess.run(cmd, env=env, cwd=tmp, capture_output=True, check=False,
+                              preexec_fn=_one_cpu if one_cpu else None)
         if what == "streams":
             data = b"\0".join([proc.stdout, proc.stderr, str(proc.returncode).encode()])
         elif proc.returncode != 0:
@@ -109,12 +125,17 @@ def output_hash(root: Path, extra_env: dict[str, str], args: list[str], what: st
 def main(argv: list[str]) -> int:
     roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parent.parent]
     differ = False
+    seen = {}
     for name, extra_env, args, what in OUTPUTS:
-        hashes = [output_hash(root, extra_env, args, what) for root in roots]
+        seen[name] = hashes = [output_hash(root, extra_env, args, what, name in ONE_CPU) for root in roots]
         differ = differ or len(set(hashes)) > 1
         print(f"{name:38s} " + "  ".join(hashes))
     if len(roots) > 1:
-        print("DIFFERENT" if differ else "IDENTICAL")
+        print(("DIFFERENT" if differ else "IDENTICAL") + f" ({len(OUTPUTS)} outputs)")
+    for a, b in EQUAL:
+        same = seen[a] == seen[b]
+        differ = differ or not same
+        print(f"{'EQUAL' if same else 'NOT EQUAL'}: {a!r} and {b!r}")
     return 1 if differ else 0
 
 

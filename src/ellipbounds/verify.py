@@ -10,6 +10,11 @@ comprehension over a table's columns, and a public function such as
 lemma23_g(r) evaluates a one-row table through it.  The grid tables of the
 last three sizes sit in one cache that run_suite empties on entry.
 
+run_suite("all") may use a second process: on a host with two or more usable
+CPUs it builds the main grid table's r', K and E columns, forks one child for
+the sharpness and remarks suites and runs the lemma suite itself.  Results,
+printed output and errors are those of the one-process run.
+
 Near r = 0 these combinations cancel catastrophically (the first three vanish
 like r^2, the last two like r^4), so each such column holds its Maclaurin
 series in the rows below its cutoff, split off by bisection on the ascending
@@ -22,6 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import os
+import threading
 from array import array
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +52,7 @@ from .bounds import (
     thm12_upper_threshold,
 )
 from .core import HALF_PI, Modulus, _agm_ke, _complement, _param, _radius, _record, _row, _size
-from .errors import SUITE_NAMES, ConfigurationError, VerificationError
+from .errors import SUITE_NAMES, ConfigurationError, EllipBoundsError, VerificationError
 
 __all__ = [
     "Direction",
@@ -78,6 +86,8 @@ __all__ = [
 _PI = math.pi
 _PI2 = _PI * _PI
 _GRID_EPS = 1e-6
+# the fewest points a monotonicity sweep, and so the lemma suite, accepts
+_SWEEP_LEAST = 1000
 _MONOTONE_TOL = 1e-12
 _VALIDITY_SLACK = 1e-13
 _SIGN_TOL = 5e-15
@@ -438,7 +448,7 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
-    n = _size(grid, 1000, "sweep grid must have")
+    n = _size(grid, _SWEEP_LEAST, "sweep grid must have")
     params = dict(params or {})
     if set(params) != set(sd.params):
         raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
@@ -811,11 +821,78 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     return out
 
 
+def _cpus() -> int:
+    # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fan_out(head: Callable, tail: list[Callable], grid_points: int) -> list[CheckResult] | None:
+    # head here while one forked child runs the tail suites on the main grid
+    # table built before the fork; None, with no suite run, if no child starts
+    import pickle
+    import signal
+
+    _grid_table(int(grid_points)).e
+    fds = ()
+    try:
+        fds = rfd, wfd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:  # the child: send (True, results) or (False, exception), and leave with no cleanup
+        try:
+            os.close(rfd)
+            try:
+                sent = True, [res for run in tail for res in run(grid_points)]
+            except BaseException as exc:  # raised again in the caller
+                sent = False, exc
+            with open(wfd, "wb") as pipe:
+                pickle.dump(sent, pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            out = head(grid_points)
+            data = pipe.read()
+    except BaseException:  # an error here, the first suite's above all, wins: stop the child
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise EllipBoundsError("the sharpness and remarks child ended without a result "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+    ok, sent = pickle.loads(data)
+    if not ok:
+        raise sent
+    return out + sent
+
+
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
-    # empty the table cache per call, so every run builds each grid's columns once
+    """The results of the named suite, or of all three in suite order (lemmas,
+    sharpness, remarks), on a fresh table cache.
+
+    Several suites run in two processes where that can pay: os.fork exists,
+    two or more CPUs are usable, only the main thread is alive and the grid is
+    one the lemma suite accepts.  Then this process builds the main grid's
+    r', K and E columns, forks one child for the other suites and runs the
+    lemma suite, and the child is reaped before the call returns or raises;
+    otherwise, or if no child starts, all run here, one after another.  Either
+    way the results are the same, and so is the error raised: that of the
+    first failing suite in suite order.  A child that ends without a result
+    raises EllipBoundsError."""
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     _grid_table.cache_clear()
-    runs = (run_lemma_suite, run_sharpness_suite, run_remarks_suite)
-    return [res for suite, run in zip(SUITE_NAMES, runs) if name in (suite, "all")
-            for res in run(grid_points)]
+    runs = [run for suite, run in zip(SUITE_NAMES, (run_lemma_suite, run_sharpness_suite, run_remarks_suite))
+            if name in (suite, "all")]
+    if (len(runs) > 1 and hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
+            and isinstance(grid_points, numbers.Integral) and grid_points >= _SWEEP_LEAST):
+        out = _fan_out(runs[0], runs[1:], grid_points)
+        if out is not None:
+            return out
+    return [res for run in runs for res in run(grid_points)]

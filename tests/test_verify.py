@@ -1,11 +1,16 @@
 import functools
 import math
+import mmap
+import os
+import threading
+import time
 from array import array
 
 import mpmath
 import numpy
 import pytest
 
+import ellipbounds.cli
 import ellipbounds.core
 import ellipbounds.verify
 
@@ -14,6 +19,7 @@ from ellipbounds import (
     BoundSpec,
     ConfigurationError,
     CrossoverResult,
+    EllipBoundsError,
     Direction,
     DomainError,
     Family,
@@ -658,11 +664,13 @@ class TestColumnScans:
                                                       + run_remarks_suite(grid_points=2000))
 
     def test_all_builds_the_grid_table_once(self, monkeypatch):
-        count = [0]
+        # one counter per process in shared memory, so the runs of a forked child count too
+        counts = memoryview(mmap.mmap(-1, 16)).cast("q")
+        caller = os.getpid()
         agm_ke = ellipbounds.core._agm_ke
 
         def counting(r, rc):
-            count[0] += 1
+            counts[os.getpid() != caller] += 1
             return agm_ke(r, rc)
 
         # standalone scans leave their tables cached; run_suite empties the
@@ -673,11 +681,11 @@ class TestColumnScans:
         for module in (ellipbounds.core, ellipbounds.verify):
             monkeypatch.setattr(module, "_agm_ke", counting)
         for _ in range(2):
-            count[0] = 0
+            counts[0] = counts[1] = 0
             run_suite("all", grid_points=2000)
             # one run per radius of the 2000-, 256- and 1000-point tables, plus
             # the bisection and golden-section steps
-            assert 2000 + 256 + 1000 <= count[0] <= 2000 + 2500
+            assert 2000 + 256 + 1000 <= counts[0] + counts[1] <= 2000 + 2500
 
     @pytest.mark.parametrize("suite, built", [("sharpness", BASE), ("remarks", ("r", "rc"))])
     def test_suite_builds_only_the_columns_it_reads(self, suite, built):
@@ -843,6 +851,8 @@ class TestMetrics:
             return made[-1][1]
 
         monkeypatch.setattr(ellipbounds.verify, "_check", recording)
+        # one process, so that every check is made here; TestFanOut compares the two paths
+        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
         results = run_suite("all", grid_points=1000)
         assert len(results) == len(made) == 42
         for res, (template, made_res) in zip(results, made):
@@ -871,3 +881,138 @@ class TestMetrics:
         assert res.metrics and bare == res and hash(bare) == hash(res)
         assert "metrics" not in repr(res)
 
+
+def _result_bits(results):
+    # every field of every check bit for bit, its metrics (a failed sweep's argmax_r too) included
+    return [_bits(res) + (_bits(tuple(res.metrics.items())),) for res in results]
+
+
+def _fails(message):
+    def run(grid_points):
+        raise VerificationError(message)
+    return run
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out needs os.fork")
+class TestFanOut:
+    # run_suite("all") with two usable CPUs: the lemma suite here, the
+    # sharpness and remarks suites in one forked child, with the results and
+    # errors of the one-process run and no process left behind
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # two usable CPUs, whatever the host, and the children forked, counted here
+        made, fork = [], os.fork
+        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
+        return made
+
+    @pytest.mark.parametrize("flawed", [False, True], ids=["passing", "failing"])
+    @pytest.mark.parametrize("grid", [1000, 2000])
+    def test_same_results_as_one_process(self, monkeypatch, forks, grid, flawed):
+        if flawed:
+            # lemma22_1 lowered at one grid point, and a slack that fails the 13
+            # validity checks and remark 4.5
+            sd, dip = _SWEEPS["lemma22_1"], grid_open_unit(grid)[400]
+            monkeypatch.setitem(_SWEEPS, "lemma22_1", _replace(
+                sd, fn=lambda t: [f - 1e-3 if r == dip else f for r, f in zip(t.r, sd.fn(t))]))
+            monkeypatch.setattr(ellipbounds.verify, "_VALIDITY_SLACK", -0.5)
+        fanned = run_suite("all", grid)
+        assert len(forks) == 1
+        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        alone = run_suite("all", grid)
+        assert len(forks) == 1
+        assert _result_bits(fanned) == _result_bits(alone)
+        assert sum(not res.passed for res in fanned) == (15 if flawed else 0)
+        assert ("argmax_r" in fanned[0].metrics) is flawed
+        _assert_no_children()
+
+    def test_child_error_reaches_the_caller(self, monkeypatch, capsys, forks):
+        monkeypatch.setattr(ellipbounds.verify, "run_remarks_suite", _fails("remarks broke at r=0.5"))
+        with pytest.raises(VerificationError) as exc:
+            run_suite("all", 1000)
+        assert (type(exc.value), str(exc.value)) == (VerificationError, "remarks broke at r=0.5")
+        assert len(forks) == 1
+        _assert_no_children()
+        monkeypatch.setenv("ELLIP_GRID_POINTS", "1000")
+        assert ellipbounds.cli.main(["verify", "--suite", "all"]) == 1
+        assert capsys.readouterr() == ("", "error: verification failure: remarks broke at r=0.5\n")
+        _assert_no_children()
+
+    def test_lemma_error_wins(self, monkeypatch, forks):
+        # the first failing suite in suite order, as in one process
+        for suite in ("run_lemma_suite", "run_sharpness_suite", "run_remarks_suite"):
+            monkeypatch.setattr(ellipbounds.verify, suite, _fails(suite))
+        with pytest.raises(VerificationError, match="^run_lemma_suite$"):
+            run_suite("all", 1000)
+        monkeypatch.setattr(ellipbounds.verify, "run_lemma_suite", run_lemma_suite)
+        with pytest.raises(VerificationError, match="^run_sharpness_suite$"):
+            run_suite("all", 1000)
+        assert len(forks) == 2
+        _assert_no_children()
+
+    def test_error_here_kills_the_child(self, monkeypatch, forks):
+        # the child is stopped, not waited out, and still reaped
+        monkeypatch.setattr(ellipbounds.verify, "run_sharpness_suite", lambda grid_points: time.sleep(60))
+        monkeypatch.setattr(ellipbounds.verify, "run_lemma_suite", _fails("lemmas broke"))
+        t0 = time.monotonic()
+        with pytest.raises(VerificationError, match="^lemmas broke$"):
+            run_suite("all", 1000)
+        assert time.monotonic() - t0 < 30
+        _assert_no_children()
+
+    def test_child_without_a_result(self, monkeypatch, capsys, forks):
+        caller = os.getpid()
+
+        def dies(grid_points):
+            # ends a forked child at once; in this process it only fails
+            if os.getpid() != caller:
+                os._exit(5)
+            raise AssertionError("the sharpness suite ran in the caller")
+
+        monkeypatch.setattr(ellipbounds.verify, "run_sharpness_suite", dies)
+        with pytest.raises(EllipBoundsError) as exc:
+            run_suite("all", 1000)
+        message = "the sharpness and remarks child ended without a result (exit status 5)"
+        assert (type(exc.value), str(exc.value)) == (EllipBoundsError, message)
+        _assert_no_children()
+        monkeypatch.setenv("ELLIP_GRID_POINTS", "1000")
+        assert ellipbounds.cli.main(["verify", "--suite", "all"]) == 3
+        assert capsys.readouterr() == ("", f"error: internal numerical error: {message}\n")
+        _assert_no_children()
+
+    def test_one_usable_cpu_never_forks(self, monkeypatch, forks):
+        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        assert len(run_suite("all", 1000)) == 42
+        assert forks == []
+
+    def test_one_suite_or_a_second_thread_never_forks(self, forks):
+        assert len(run_suite("sharpness", 1000)) == 21
+        alive = threading.Event()
+        thread = threading.Thread(target=alive.wait)
+        thread.start()
+        try:
+            assert len(run_suite("all", 1000)) == 42
+        finally:
+            alive.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
+
+    @pytest.mark.parametrize("grid", [1, 999, 1000.0, [1000]], ids=repr)
+    def test_grid_the_lemma_suite_rejects_never_forks(self, forks, grid):
+        with pytest.raises(ConfigurationError):
+            run_suite("all", grid)
+        assert forks == []
+
+    def test_failed_fork_runs_here(self, monkeypatch, forks):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        results = run_suite("all", 1000)
+        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        assert _result_bits(results) == _result_bits(run_suite("all", 1000))
