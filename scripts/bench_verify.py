@@ -18,13 +18,13 @@ The pass totals time `run_suite(SUITE, GRID)` as the CLI runs it, which
 for several suites may fork one child for the sharpness and remarks suites.
 A wrapper cannot see into that child, so the sections time the suites on
 the one-process path instead: the table cache emptied, then each selected
-suite runner called here.  A checkout that defines `verify._fan_out` also
-gets FAN_OUT, from passes of `run_suite` with the fan-out and the lemma
-suite time-stamped: the build of the main table, the pipe and the fork
-before the lemma suite; the lemma suite; and after it the wait for the child
-and the unpickling of its results.  The wait is how much longer the child
-ran than the lemma suite, plus the read and the unpickling: near 0 when the
-lemma suite is the critical path.
+suite runner called here.  For `all`, a checkout whose `verify` defines
+`_fan_out` or imports `_fork.fork` also gets FAN_OUT, from passes with
+`run_suite` and the lemma suite time-stamped: the build of the main table,
+the pipe and the fork before the lemma suite; the lemma suite; and after it
+the wait for the child, the unpickling of its results and the reap.  The
+wait is how much longer the child ran than the lemma suite, plus the read
+and the unpickling: near 0 when the lemma suite is the critical path.
 
 Each checkout runs in its own interpreters, with its `src/` on PYTHONPATH
 and no bytecode written, so both sides are in the same bytecode-cache
@@ -118,7 +118,7 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     totals = [scaled(one_pass) for _ in range(passes)]
 
     fan_out: dict[str, list[float]] = {}
-    if hasattr(verify, "_fan_out"):
+    if suite == "all" and (hasattr(verify, "_fan_out") or hasattr(verify, "fork")):
         stamps: dict[str, float] = {}
 
         def stamped(name, fn):
@@ -130,8 +130,8 @@ def _child(suite: str, grid: int, passes: int) -> dict:
                     stamps[name + " end"] = time.perf_counter()
             return timed
 
-        originals = verify._fan_out, verify.run_lemma_suite
-        verify._fan_out, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])
+        originals = verify.run_suite, verify.run_lemma_suite
+        verify.run_suite, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])
         for _ in range(passes):
             stamps.clear()
             ref0 = reference.loop_seconds()
@@ -141,7 +141,7 @@ def _child(suite: str, grid: int, passes: int) -> dict:
                 for name, (a, b) in zip(FAN_OUT, [("fan", "lemmas"), ("lemmas", "lemmas end"),
                                                   ("lemmas end", "fan end")]):
                     fan_out.setdefault(name, []).append((stamps[b] - stamps[a]) * 1e3 * factor)
-        verify._fan_out, verify.run_lemma_suite = originals
+        verify.run_suite, verify.run_lemma_suite = originals
 
     stack: list[str] = ["other"]
     spent: dict[str, float] = {}

@@ -9,8 +9,9 @@ prints, `csv` the table a `compare` writes (both require exit 0), and
 whose messages and failures must stay the same.  The script prints each
 entry's name next to its hash.  An entry named in ONE_CPU runs in an
 interpreter whose affinity is set to one CPU (where os.sched_setaffinity
-exists), so `verify --suite all` takes its one-process path; each pair in
-EQUAL must hash the same in every root, or the exit code is 1.
+exists), so `verify --suite all` and a `compare` of 768 rows or more take
+their one-process paths; each pair in EQUAL must hash the same in every root,
+or the exit code is 1.
 
 Each ROOT is a checkout; its `src/` is put on PYTHONPATH and the CLI runs in
 a fresh interpreter.  With two or more roots the hashes are printed side by
@@ -92,10 +93,18 @@ OUTPUTS = [
     *((f"enclose {' '.join(families)}", {}, ["enclose", "--r", "0.5", "--families", *families], "streams")
       for families in (["thm11:q=0.13", "barnard"], ["barnard"], ["vuorinen", "thm11:q=0.13"],
                        ["thm12:t=0.51,p=1.3", "alzer-qiu", "thm11-lower"])),
+    # seven chunks of 256 rows: the calling process writes the last one
+    ("compare uniform 1700", {},
+     ["compare", "--start", "1e-6", "--end", "0.999999", "--points", "1700",
+      "--families", *FAMILIES, "--output", "table.csv"], "csv"),
 ]
+# the compare entries that fork a child on two CPUs
+FANNED = ("compare uniform 20000", "compare log-near-one 5000", "compare uniform 1700")
+OUTPUTS += [(f"{name}, one CPU", *rest) for name, *rest in OUTPUTS if name in FANNED]
 # entries run on one CPU, and pairs of entries whose outputs must be the same
-ONE_CPU = {"verify all, grid 2000, one CPU"}
-EQUAL = [("verify all, grid 2000", "verify all, grid 2000, one CPU")]
+ONE_CPU = {"verify all, grid 2000, one CPU", *(f"{name}, one CPU" for name in FANNED)}
+EQUAL = [("verify all, grid 2000", "verify all, grid 2000, one CPU"),
+         *((name, f"{name}, one CPU") for name in FANNED)]
 
 
 def _one_cpu() -> None:

@@ -39,6 +39,9 @@ EXIT_IO = 4
 _DEFAULT_GRID = 10_000
 # compare rows per block of columns: bounds the table's memory at any grid size
 _CHUNK = 256
+# compare rows from which one forked child formats every other chunk: below three
+# chunks the fork, the child's exit and the waits cost about what the child saves
+_FORK_LEAST = 3 * _CHUNK
 _GRID_ENV = "ELLIP_GRID_POINTS"
 
 
@@ -162,12 +165,34 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     split = _split(specs)
     # labels may hold commas; no %.17g float (nan, inf too) needs quoting
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    starts = range(0, len(rs), _CHUNK)
+
+    def text(i: int) -> str:
+        # the CSV rows of the chunk from row i
+        return "".join(map(row_fmt.__mod__, zip(*_columns(rs[i:i + _CHUNK], specs, split))))
+
+    def odd(send) -> None:
+        # in the child: every other chunk from the second, one frame each
+        for i in starts[1::2]:
+            send(text(i).encode("ascii"))
+
     try:
         with open(args.output, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            for i in range(0, len(rs), _CHUNK):
-                cols = _columns(rs[i:i + _CHUNK], specs, split)
-                fh.write("".join(map(row_fmt.__mod__, zip(*cols))))
+
+            def alone() -> None:
+                fh.writelines(map(text, starts))
+
+            def both(recv) -> None:
+                # here: the other chunks, and the child's between them, in row order
+                for k, i in enumerate(starts):
+                    fh.write(recv().decode("ascii") if k % 2 else text(i))
+
+            if len(rs) < _FORK_LEAST:
+                alone()
+            else:
+                from ._fork import fork
+                fork(odd, both, alone, "compare")
     except OSError as exc:
         _err(f"cannot write {args.output!r}: {exc}")
         return EXIT_IO

@@ -28,8 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-import threading
 from array import array
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +36,7 @@ from itertools import chain, islice
 from operator import indexOf, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._fork import fork
 from .bounds import (
     ALPHA_STAR,
     BETA_STAR,
@@ -52,7 +51,7 @@ from .bounds import (
     thm12_upper_threshold,
 )
 from .core import HALF_PI, Modulus, _agm_ke, _complement, _param, _radius, _record, _row, _size
-from .errors import SUITE_NAMES, ConfigurationError, EllipBoundsError, VerificationError
+from .errors import SUITE_NAMES, ConfigurationError, VerificationError
 
 __all__ = [
     "Direction",
@@ -821,57 +820,6 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     return out
 
 
-def _cpus() -> int:
-    # the CPUs this process may run on
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _fan_out(head: Callable, tail: list[Callable], grid_points: int) -> list[CheckResult] | None:
-    # head here while one forked child runs the tail suites on the main grid
-    # table built before the fork; None, with no suite run, if no child starts
-    import pickle
-    import signal
-
-    _grid_table(int(grid_points)).e
-    fds = ()
-    try:
-        fds = rfd, wfd = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:  # the child: send (True, results) or (False, exception), and leave with no cleanup
-        try:
-            os.close(rfd)
-            try:
-                sent = True, [res for run in tail for res in run(grid_points)]
-            except BaseException as exc:  # raised again in the caller
-                sent = False, exc
-            with open(wfd, "wb") as pipe:
-                pickle.dump(sent, pipe)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(wfd)
-    try:
-        with open(rfd, "rb") as pipe:
-            out = head(grid_points)
-            data = pipe.read()
-    except BaseException:  # an error here, the first suite's above all, wins: stop the child
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise EllipBoundsError("the sharpness and remarks child ended without a result "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, sent = pickle.loads(data)
-    if not ok:
-        raise sent
-    return out + sent
-
-
 def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     """The results of the named suite, or of all three in suite order (lemmas,
     sharpness, remarks), on a fresh table cache.
@@ -890,9 +838,21 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     _grid_table.cache_clear()
     runs = [run for suite, run in zip(SUITE_NAMES, (run_lemma_suite, run_sharpness_suite, run_remarks_suite))
             if name in (suite, "all")]
-    if (len(runs) > 1 and hasattr(os, "fork") and _cpus() >= 2 and threading.active_count() == 1
-            and isinstance(grid_points, numbers.Integral) and grid_points >= _SWEEP_LEAST):
-        out = _fan_out(runs[0], runs[1:], grid_points)
-        if out is not None:
-            return out
-    return [res for run in runs for res in run(grid_points)]
+
+    def alone() -> list[CheckResult]:
+        return [res for run in runs for res in run(grid_points)]
+
+    if len(runs) == 1 or not (isinstance(grid_points, numbers.Integral) and grid_points >= _SWEEP_LEAST):
+        return alone()
+    _grid_table(int(grid_points)).e  # before the fork, so both processes share it
+
+    def tail(send) -> None:
+        import pickle
+        send(pickle.dumps([res for run in runs[1:] for res in run(grid_points)]))
+
+    def head(recv) -> list[CheckResult]:
+        out = runs[0](grid_points)
+        import pickle
+        return out + pickle.loads(recv())
+
+    return fork(tail, head, alone, "sharpness and remarks")

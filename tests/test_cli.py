@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import ellipbounds._fork
+import ellipbounds.cli
 from ellipbounds import (
     DomainError,
     EllipBoundsError,
@@ -20,13 +22,18 @@ from ellipbounds import (
     parse_bound_spec,
     toader_mean,
 )
-from ellipbounds.cli import GridSpec, Spacing, _cmd_compare, main
+from ellipbounds.cli import _CHUNK, _FORK_LEAST, GridSpec, Spacing, _cmd_compare, main
 from oracles import quad_e
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # two parametric specs parsed from text, next to --families all
 EXTRA_SPECS = ["thm11:q=0.05", "thm12:t=0.95,p=1.5"]
+
+# the spec list of scripts/output_hashes.py whose kernels repeat: a repeated spec, and the
+# cor31 specs beside the thm12 specs they equal bit for bit
+REPEATED_KERNELS = ["cor31-lower", "thm12-lower:p=2", "cor31-upper", "thm12-upper:p=0.5", "vuorinen",
+                    "thm11:q=0.05", "vuorinen"]
 
 # first computation, frozen as regression value
 ENCLOSE_WIDTH_0P999 = 0.0039102788995069027
@@ -396,6 +403,141 @@ class TestCompare:
         assert code == 2
 
 
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out needs os.fork")
+class TestCompareFanOut:
+    # compare with two usable CPUs: from _FORK_LEAST rows one forked child formats every
+    # other chunk, with the bytes, messages and exit codes of the one-process run and no
+    # process left behind
+    UNIFORM = ["--start", "1e-6", "--end", "0.999999", "--spacing", "uniform"]
+    NEAR_ONE = ["--start", "1e-4", "--end", "0.9999999", "--spacing", "log-near-one"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # two usable CPUs, whatever the host, and the children forked, counted here
+        made, fork = [], os.fork
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
+        return made
+
+    @staticmethod
+    def _compare(capsys, path, grid, points, families):
+        return run(capsys, ["compare", *grid, "--points", str(points), "--families", *families,
+                            "--output", str(path)])
+
+    def _both_ways(self, monkeypatch, capsys, path, grid, points, families):
+        # (exit code, stdout, stderr, file bytes) with two usable CPUs, then with one
+        out = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: cpus)
+            out.append((*self._compare(capsys, path, grid, points, families),
+                        path.read_bytes() if path.is_file() else None))
+            _assert_no_children()
+        return out
+
+    # one process below _FORK_LEAST; _FORK_LEAST and 6 * _CHUNK + 100 rows make an odd count of
+    # chunks (3 and 7), the last one the caller's, and short at 6 * _CHUNK + 100
+    @pytest.mark.parametrize("points", [2, _FORK_LEAST - 1, _FORK_LEAST, _FORK_LEAST + 1,
+                                        6 * _CHUNK + 100, 5000])
+    @pytest.mark.parametrize("grid", ["uniform", "near-one"])
+    def test_same_bytes_as_one_process(self, monkeypatch, tmp_path, capsys, forks, grid, points):
+        grid = self.UNIFORM if grid == "uniform" else self.NEAR_ONE
+        fanned, alone = self._both_ways(monkeypatch, capsys, tmp_path / "table.csv", grid, points,
+                                        ["all", *EXTRA_SPECS])
+        assert len(forks) == (points >= _FORK_LEAST)
+        assert fanned[0] == 0 and fanned[3].count(b"\n") == points + 1
+        assert fanned == alone
+
+    def test_rows_are_streamed(self, tmp_path, capsys, forks):
+        # the caller holds a chunk of its own and one of the child's, not the table
+        assert TestCompare()._peak(tmp_path, capsys, ["all", *EXTRA_SPECS]) < 2_000_000
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("points", [_FORK_LEAST + 1, 3000])
+    def test_repeated_kernels_same_bytes(self, monkeypatch, tmp_path, capsys, forks, points):
+        fanned, alone = self._both_ways(monkeypatch, capsys, tmp_path / "table.csv", self.UNIFORM, points,
+                                        REPEATED_KERNELS)
+        assert len(forks) == 1 and fanned[0] == 0
+        assert fanned == alone
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--start", "0", "--end", "0.5"], "open interval"),
+        (["--start", "0.1", "--end", "0.9", "--families", "thm11:q=0.7"], "q must lie in"),
+    ], ids=["radius", "spec"])
+    def test_usage_error_starts_no_child(self, tmp_path, capsys, forks, argv, message):
+        path = tmp_path / "table.csv"
+        path.write_text("earlier contents\n")
+        families = [] if "--families" in argv else ["--families", "all"]
+        code, _, err = run(capsys, ["compare", *argv, "--points", "5000", *families,
+                                    "--output", str(path)])
+        assert code == 2 and message in err
+        assert path.read_text() == "earlier contents\n"
+        assert forks == []
+        _assert_no_children()
+
+    def test_unopenable_output_starts_no_child(self, capsys, forks):
+        code, _, err = self._compare(capsys, "/nonexistent-dir/x.csv", self.UNIFORM, 5000, ["all"])
+        assert code == 4 and "cannot write" in err
+        assert forks == []
+        _assert_no_children()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_kills_the_child(self, monkeypatch, capsys, forks):
+        # every write to /dev/full fails, the first one on the caller's first chunk
+        fanned, alone = self._both_ways(monkeypatch, capsys, Path("/dev/full"), self.UNIFORM, 5000, ["all"])
+        assert len(forks) == 1
+        assert fanned == alone
+        assert fanned[:2] == (4, "") and fanned[2].startswith("error: cannot write '/dev/full': ")
+
+    @staticmethod
+    def _breaks_on_chunk(monkeypatch, chunk, act):
+        # _columns runs act() on the given chunk of the uniform grid at 5000 points
+        first = GridSpec(1e-6, 0.999999, 5000).values()[chunk * _CHUNK]
+        columns = ellipbounds.cli._columns
+
+        def patched(rs, specs, split):
+            if rs[0] == first:
+                act()
+            return columns(rs, specs, split)
+
+        monkeypatch.setattr(ellipbounds.cli, "_columns", patched)
+
+    @pytest.mark.parametrize("exc,code,line", [
+        (DomainError("chunk 3 broke"), 2, "error: chunk 3 broke"),
+        (ZeroDivisionError("chunk 3 divided"), 3, "error: internal numerical error: chunk 3 divided"),
+    ], ids=["domain", "arithmetic"])
+    def test_child_error_reaches_the_caller(self, monkeypatch, tmp_path, capsys, forks, exc, code, line):
+        def raises():
+            raise exc
+
+        self._breaks_on_chunk(monkeypatch, 3, raises)
+        fanned, alone = self._both_ways(monkeypatch, capsys, tmp_path / "table.csv", self.UNIFORM, 5000,
+                                        ["all"])
+        assert len(forks) == 1
+        assert fanned == alone and fanned[:3] == (code, "", line + "\n")
+
+    def test_child_dying_mid_stream(self, monkeypatch, tmp_path, capsys, forks):
+        caller = os.getpid()
+
+        def dies():
+            # ends a forked child at once; in this process it only fails
+            if os.getpid() != caller:
+                os._exit(5)
+            raise AssertionError("the child's chunk ran in the caller")
+
+        self._breaks_on_chunk(monkeypatch, 3, dies)
+        code, out, err = self._compare(capsys, tmp_path / "x.csv", self.UNIFORM, 5000, ["all"])
+        assert (code, out) == (3, "")
+        assert err == ("error: internal numerical error: the compare child ended without a result "
+                       "(exit status 5)\n")
+        assert len(forks) == 1
+        _assert_no_children()
+
+
 class TestCrossover:
     def test_cor31_upper_vs_alzer_qiu(self, capsys):
         code, out, _ = run(capsys, ["crossover", "--a", "cor31-upper", "--b", "alzer-qiu"])
@@ -469,6 +611,47 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(states)
 """)
         assert out == "[True, True, True, True, True]\n"
+
+    def test_compare_fan_out_leaves_verify_unexecuted_and_pickle_unloaded(self, tmp_path):
+        # reading verify, or importing pickle, would raise the peak RSS of every compare
+        table = str(tmp_path / "table.csv")
+        out = run_fresh(f"""
+import contextlib, io, os, sys, types
+import ellipbounds._fork, ellipbounds.cli
+ellipbounds._fork.cpus = lambda: 2
+made, fork = [], os.fork
+os.fork = lambda: made.append(1) or fork()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ellipbounds.cli.main(["compare", "--start", "0.1", "--end", "0.9", "--points", "5000",
+                                 "--families", "all", "--output", {table!r}])
+print(code, len(made), {UNEXECUTED}, "pickle" not in sys.modules, "signal" not in sys.modules)
+""")
+        assert out == "0 1 True True True\n"
+
+    def test_import_and_short_compare_leave_fork_helper_unloaded(self, tmp_path):
+        # the fork helper is compiled only by a command that may fork, never at import
+        table = str(tmp_path / "table.csv")
+        out = run_fresh(f"""
+import contextlib, io, sys
+import ellipbounds.cli
+states = ["ellipbounds._fork" not in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ellipbounds.cli.main(["compare", "--start", "0.1", "--end", "0.9",
+                                 "--points", str(ellipbounds.cli._FORK_LEAST - 1),
+                                 "--families", "all", "--output", {table!r}])
+print(code, states + ["ellipbounds._fork" not in sys.modules])
+""")
+        assert out == "0 [True, True]\n"
+
+    def test_one_process_verify_leaves_pickle_unloaded(self):
+        # pickle carries the child's results, so a run with no child never imports it
+        out = run_fresh("""
+import sys
+import ellipbounds, ellipbounds._fork
+ellipbounds._fork.cpus = lambda: 1
+print(len(ellipbounds.run_suite("all", 1000)), "pickle" not in sys.modules)
+""")
+        assert out == "42 True\n"
 
     @pytest.mark.parametrize("touch", [
         "ellipbounds.run_suite",

@@ -10,6 +10,7 @@ import mpmath
 import numpy
 import pytest
 
+import ellipbounds._fork
 import ellipbounds.cli
 import ellipbounds.core
 import ellipbounds.verify
@@ -852,7 +853,7 @@ class TestMetrics:
 
         monkeypatch.setattr(ellipbounds.verify, "_check", recording)
         # one process, so that every check is made here; TestFanOut compares the two paths
-        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 1)
         results = run_suite("all", grid_points=1000)
         assert len(results) == len(made) == 42
         for res, (template, made_res) in zip(results, made):
@@ -907,7 +908,7 @@ class TestFanOut:
     def forks(self, monkeypatch):
         # two usable CPUs, whatever the host, and the children forked, counted here
         made, fork = [], os.fork
-        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 2)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: made.append(os.getpid()) or fork())
         return made
 
@@ -923,7 +924,7 @@ class TestFanOut:
             monkeypatch.setattr(ellipbounds.verify, "_VALIDITY_SLACK", -0.5)
         fanned = run_suite("all", grid)
         assert len(forks) == 1
-        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 1)
         alone = run_suite("all", grid)
         assert len(forks) == 1
         assert _result_bits(fanned) == _result_bits(alone)
@@ -986,7 +987,7 @@ class TestFanOut:
         _assert_no_children()
 
     def test_one_usable_cpu_never_forks(self, monkeypatch, forks):
-        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 1)
         assert len(run_suite("all", 1000)) == 42
         assert forks == []
 
@@ -1014,5 +1015,5 @@ class TestFanOut:
 
         monkeypatch.setattr(os, "fork", no_fork)
         results = run_suite("all", 1000)
-        monkeypatch.setattr(ellipbounds.verify, "_cpus", lambda: 1)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 1)
         assert _result_bits(results) == _result_bits(run_suite("all", 1000))
