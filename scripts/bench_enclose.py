@@ -11,34 +11,27 @@ value records an enclosure or an evaluation returns (`Enclosure`,
 `EllipticValues`) or checks its arguments with (`MeanPair`).  `complete_e`
 is the control: the change under test should leave it where it is.
 
-Each case is timed as CALLS calls in a loop, and each such block is
-bracketed by the benchmark's reference loop and scaled by it, as
-`benchmark/worker.py` scales its operations, so a figure reads as the
-microseconds per call at the reference speed.  One interpreter times every
-case ROUNDS times, the cases interleaved, and reports each case's median.
-Each checkout runs in its own interpreters, with its `src/` on PYTHONPATH
-and no bytecode written.  The two checkouts alternate, the first checkout
-first on even pair indices, for PAIRS pairs; the output gives each case's
-median and quartiles over the pairs and how many pairs the second checkout
-won.
+Both checkouts run as `_ab.py` sets out.  Each case is timed as CALLS
+calls in a loop, one scaled block, so a figure reads as the microseconds per
+call at the reference speed.  One interpreter times every case ROUNDS
+times, the cases interleaved, and reports each case's median; the output
+gives each case's median and quartiles over the PAIRS pairs and how many
+pairs the second checkout won.
 
 Usage: python3 scripts/bench_enclose.py FIRST SECOND [--pairs 10] [--rounds 5] [--calls 10000]
-Standard library only; the reference loop is read from this checkout's
-`benchmark/reference.py`.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
-import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+import _ab
+
 R = 0.5
 
 
@@ -66,43 +59,24 @@ def _cases() -> dict:
 
 
 def _child(rounds: int, calls: int) -> dict:
-    sys.path.insert(0, str(HERE / "benchmark"))
-    import reference
-
     cases = _cases()
     for fn in cases.values():  # one unmeasured call each
         fn()
-    times: dict[str, list[float]] = {name: [] for name in cases}
-    ref0 = reference.loop_seconds()
-    for _ in range(rounds):
-        for name, fn in cases.items():
-            loop = range(calls)
-            t0 = time.perf_counter()
-            for _ in loop:
-                fn()
-            dt = time.perf_counter() - t0
-            ref1 = reference.loop_seconds()
-            times[name].append(dt / calls * 1e6 * reference.scale(ref0, ref1))
-            ref0 = ref1
-    return {name: statistics.median(v) for name, v in times.items()}
+    blocks = itertools.cycle(cases.items())
 
+    def block() -> dict[str, float]:
+        name, fn = next(blocks)
+        loop = range(calls)
+        t0 = time.perf_counter()
+        for _ in loop:
+            fn()
+        return {name: (time.perf_counter() - t0) / calls}
 
-def _run(root: Path, rounds: int, calls: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, str(Path(__file__).resolve()), "--child", "--rounds", str(rounds),
-            "--calls", str(calls), str(root), str(root)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def _quartiles(xs: list[float]) -> list[float]:
-    return [round(q, 3) for q in statistics.quantiles(xs, n=4, method="inclusive")]
+    return _ab.timed(rounds * len(cases), block, unit=1e6)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("first", type=Path)
-    ap.add_argument("second", type=Path)
+    ap = _ab.parser(__doc__)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--calls", type=int, default=10_000)
@@ -112,21 +86,11 @@ def main() -> int:
         print(json.dumps(_child(args.rounds, args.calls)))
         return 0
 
-    sides = ("first", "second")
-    runs: dict[str, list[dict]] = {side: [] for side in sides}
-    for i in range(args.pairs):
-        for side in (sides if i % 2 == 0 else sides[::-1]):
-            runs[side].append(_run(getattr(args, side).resolve(), args.rounds, args.calls))
-
-    result = {"r": R, "pairs": args.pairs, "rounds_per_interpreter": args.rounds,
-              "calls_per_block": args.calls, "us_per_call": {}}
-    for name in runs["first"][0]:
-        per = {side: [run[name] for run in runs[side]] for side in sides}
-        result["us_per_call"][name] = {
-            **{side + "_median": round(statistics.median(per[side]), 3) for side in sides},
-            **{side + "_quartiles": _quartiles(per[side]) for side in sides},
-            "second_better_pairs": sum(b < a for a, b in zip(per["first"], per["second"])),
-        }
+    runs = _ab.pairs(args, args.pairs, lambda src: _ab.child(src, __file__, "--rounds", str(args.rounds),
+                                                             "--calls", str(args.calls)))
+    result = {"r": R, "pairs": args.pairs, "rounds_per_interpreter": args.rounds, "calls_per_block": args.calls,
+              "us_per_call": {name: _ab.summary({side: [run[name] for run in runs[side]] for side in _ab.SIDES})
+                              for name in runs["first"][0]}}
     print(json.dumps(result, indent=1))
     return 0
 

@@ -2,14 +2,9 @@
 """Time `import ellipbounds.cli` with `-X importtime` for two checkouts, and
 print the comparison as JSON.
 
-Each interpreter is fresh and imports the module once; the two checkouts
-alternate, the first checkout first on even indices.  Both run from copies
-of their `src/` made for this run, so that they are in the same
-bytecode-cache state whatever their own trees hold: with `--cache none`
-(the default) the copies have no `__pycache__` and no bytecode is written,
-so every interpreter compiles the package, as a fresh checkout under
-PYTHONDONTWRITEBYTECODE=1 does; with `--cache warm` both copies are
-byte-compiled first.  The standard library is imported as installed.
+Both checkouts run as `_ab.py` sets out, each interpreter importing the
+module once: with `--cache none` (the default) every interpreter compiles
+the package; with `--cache warm` both copies are byte-compiled first.
 
 For each module in MODULES the output gives the median cumulative import
 time over the interpreters (0 where a module was not imported), and how many
@@ -23,16 +18,12 @@ Standard library only.
 
 from __future__ import annotations
 
-import argparse
-import compileall
 import json
-import os
-import shutil
 import statistics
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
+
+import _ab
 
 TARGET = "ellipbounds.cli"
 MODULES = ["ellipbounds.cli", "ellipbounds", "ellipbounds.core", "ellipbounds.bounds", "ellipbounds.errors",
@@ -43,30 +34,16 @@ TOP_SELF = 15
 
 def _import_once(src: Path) -> dict[str, tuple[float, float]]:
     # {module: (self ms, cumulative ms)} from one fresh interpreter's -X importtime report
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", f"import {TARGET}"],
-                          env=env, capture_output=True, text=True, check=True)
+    report = _ab.interpreter(src, "-X", "importtime", "-c", f"import {TARGET}").stderr
     times = {}
-    for line in proc.stderr.splitlines():
+    for line in report.splitlines():
         if not line.startswith("import time:") or "self [us]" in line:
             continue
         self_us, cum_us, name = line[len("import time:"):].split("|")
         times[name.strip()] = (int(self_us) / 1000.0, int(cum_us) / 1000.0)
     if TARGET not in times:
-        raise RuntimeError(f"{TARGET} missing from the import report of {src}:\n{proc.stderr}")
+        raise RuntimeError(f"{TARGET} missing from the import report of {src}:\n{report}")
     return times
-
-
-def _copy_src(root: Path, dest: Path, warm: bool) -> Path:
-    src = dest / "src"
-    shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    if warm:
-        compileall.compile_dir(src, quiet=1)
-    return src
-
-
-def _quartiles(xs: list[float]) -> list[float]:
-    return [round(q, 3) for q in statistics.quantiles(xs, n=4, method="inclusive")]
 
 
 def _summary(runs: list[dict[str, tuple[float, float]]]) -> dict:
@@ -82,34 +59,19 @@ def _summary(runs: list[dict[str, tuple[float, float]]]) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("first", type=Path)
-    ap.add_argument("second", type=Path)
+    ap = _ab.parser(__doc__)
     ap.add_argument("--interpreters", type=int, default=30, help="interpreters per checkout")
     ap.add_argument("--cache", choices=("none", "warm"), default="none")
     args = ap.parse_args()
 
-    sides = ("first", "second")
-    runs: dict[str, list[dict]] = {side: [] for side in sides}
-    with tempfile.TemporaryDirectory() as tmp:
-        srcs = {side: _copy_src(getattr(args, side).resolve(), Path(tmp) / side, args.cache == "warm")
-                for side in sides}
-        for i in range(args.interpreters):
-            for side in (sides if i % 2 == 0 else sides[::-1]):
-                runs[side].append(_import_once(srcs[side]))
-
-    totals = {side: [run[TARGET][1] for run in runs[side]] for side in sides}
+    runs = _ab.pairs(args, args.interpreters, _import_once, warm=args.cache == "warm")
     result = {
         "command": f"python -X importtime -c 'import {TARGET}' with PYTHONPATH=<copy of the checkout's src>",
         "cache": args.cache,
         "interpreters_per_side": args.interpreters,
         "statistic": "median over interpreters, ms",
-        "import_ms": {
-            **{side + "_median": round(statistics.median(totals[side]), 3) for side in sides},
-            **{side + "_quartiles": _quartiles(totals[side]) for side in sides},
-            "second_better_pairs": sum(b < a for a, b in zip(totals["first"], totals["second"])),
-        },
-        **{side: _summary(runs[side]) for side in sides},
+        "import_ms": _ab.summary({side: [run[TARGET][1] for run in runs[side]] for side in _ab.SIDES}),
+        **{side: _summary(runs[side]) for side in _ab.SIDES},
     }
     print(json.dumps(result, indent=1))
     return 0

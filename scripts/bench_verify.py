@@ -7,60 +7,47 @@ functions and `verify._Table` methods that do each one.  A section's time is
 exclusive: a nested section's time is its own, not its caller's.  "tables"
 is the building of every table, grid or one-row, and its columns r, r', K
 and E (one AGM run per radius); "cancelling columns" is the building of the
-five cancelling columns of every table.  Where a checkout builds its tables
-is listed in SECTIONS: module functions for tables whose columns are all
-built at once, and `_Table.__getattr__` for tables whose columns are built
-on first read, where the column read decides the section.  What no wrapped
-function covers (the lemma 2.5 margins, the case sample, the suite loops)
-is "other".
+five cancelling columns of every table.  SECTIONS lists where they are
+built: `_grid_table` and `_row` (the one-row tables), and `_Table`, whose
+columns are built on first read, where the column read decides the section.
+What no wrapped function covers (the lemma 2.5 margins, the case sample,
+the suite loops) is "other".
 
 The pass totals time `run_suite(SUITE, GRID)` as the CLI runs it, which
 for several suites may fork one child for the sharpness and remarks suites.
-A wrapper cannot see into that child, so the sections time the suites on
-the one-process path instead: the table cache emptied, then each selected
-suite runner called here.  For `all`, a checkout whose `verify` defines
-`_fan_out` or imports `_fork.fork` also gets FAN_OUT, from passes with
+A wrapper cannot see into that child, so the sections time the same call
+on its one-process path, with `_fork.cpus` pinning the checkout to one
+usable CPU.  For `all` there is also FAN_OUT, from passes with
 `run_suite` and the lemma suite time-stamped: the build of the main table,
 the pipe and the fork before the lemma suite; the lemma suite; and after it
-the wait for the child, the unpickling of its results and the reap.  The
-wait is how much longer the child ran than the lemma suite, plus the read
-and the unpickling: near 0 when the lemma suite is the critical path.
+the wait for the child, the reading of its results and the reap.  The
+wait is how much longer the child ran than the lemma suite, plus the read:
+near 0 when the lemma suite is the critical path.
 
-Each checkout runs in its own interpreters, with its `src/` on PYTHONPATH
-and no bytecode written, so both sides are in the same bytecode-cache
-state.  One interpreter runs one unmeasured pass, then PASSES passes with
-no wrapper (the pass totals), PASSES time-stamped passes (FAN_OUT) and
-PASSES passes with the wrappers (the sections), and reports its own peak
-RSS and that of its largest child.  Every pass is bracketed by the
-benchmark's reference loop and scaled by it, as `benchmark/worker.py`
-scales a suite pass.  The two checkouts alternate, the first checkout first
-on even pair indices, for PAIRS pairs; the output gives each figure's
-median over the pairs and how many pairs the second checkout won.
+Both checkouts run as `_ab.py` sets out.  One interpreter runs one
+unmeasured pass, then PASSES passes with no wrapper (the pass totals),
+PASSES time-stamped passes (FAN_OUT) and PASSES passes with the wrappers
+(the sections), and reports its own peak RSS and that of its largest child.
+The output gives each figure's median over the PAIRS pairs and how many
+pairs the second checkout won, and the pass totals' quartiles.
 
 Usage: python3 scripts/bench_verify.py FIRST SECOND [--pairs 10] [--passes 5] [--grid 10000]
                                      [--suite all|lemmas|sharpness|remarks]
-Standard library only; the reference loop is read from this checkout's
-`benchmark/reference.py`.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import resource
-import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+import _ab
 
 NAMES = ["tables", "cancelling columns", "sweeps", "classification", "validity", "falsifiers",
          "remarks", "other"]
 FAN_OUT = ["table build and fork", "lemma suite", "wait for the child"]
-RUNNERS = {"lemmas": "run_lemma_suite", "sharpness": "run_sharpness_suite", "remarks": "run_remarks_suite"}
 
 
 def _column(table, name: str) -> str:
@@ -69,18 +56,10 @@ def _column(table, name: str) -> str:
 
 
 # (section or a function of the call's arguments that names it, a verify
-# function or "_Table.method" whose exclusive time counts towards it); a name
-# the checkout does not define is skipped
+# function or "_Table.method" whose exclusive time counts towards it)
 SECTIONS = [
-    # tables whose columns are all built at once, in the functions that build them
     ("tables", "_grid_table"),
-    ("tables", "_grid_columns"),
-    ("tables", "_radii"),
-    ("tables", "_columns"),
-    ("tables", "_one_row"),
     ("tables", "_row"),
-    ("cancelling columns", "_table"),
-    # tables whose columns are built on first read
     ("tables", "_Table.__init__"),
     (_column, "_Table.__getattr__"),
     ("sweeps", "sweep_monotone"),
@@ -92,33 +71,16 @@ SECTIONS = [
 
 
 def _child(suite: str, grid: int, passes: int) -> dict:
-    sys.path.insert(0, str(HERE / "benchmark"))
-    import reference
-    from ellipbounds import verify
-
-    def scaled(run) -> float:
-        # the ms of run() scaled by the reference loops on both sides of it
-        ref0 = reference.loop_seconds()
-        t0 = time.perf_counter()
-        run()
-        t1 = time.perf_counter()
-        return (t1 - t0) * 1e3 * reference.scale(ref0, reference.loop_seconds())
+    from ellipbounds import _fork, verify
 
     def one_pass() -> None:
         verify.run_suite(suite, grid)
 
-    def in_process() -> None:
-        # the selected suites one after another here, as a one-process run_suite
-        verify._grid_table.cache_clear()
-        for name, runner in RUNNERS.items():
-            if suite in (name, "all"):
-                getattr(verify, runner)(grid)
-
     one_pass()
-    totals = [scaled(one_pass) for _ in range(passes)]
+    totals = _ab.timed(passes, lambda: {"pass": _ab.seconds(one_pass)})
 
-    fan_out: dict[str, list[float]] = {}
-    if suite == "all" and (hasattr(verify, "_fan_out") or hasattr(verify, "fork")):
+    fan_out: dict[str, float] = {}
+    if suite == "all":
         stamps: dict[str, float] = {}
 
         def stamped(name, fn):
@@ -130,17 +92,14 @@ def _child(suite: str, grid: int, passes: int) -> dict:
                     stamps[name + " end"] = time.perf_counter()
             return timed
 
+        def fanned() -> dict[str, float]:
+            one_pass()
+            return {name: stamps[b] - stamps[a] for name, (a, b) in zip(
+                FAN_OUT, [("fan", "lemmas"), ("lemmas", "lemmas end"), ("lemmas end", "fan end")])}
+
         originals = verify.run_suite, verify.run_lemma_suite
         verify.run_suite, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])
-        for _ in range(passes):
-            stamps.clear()
-            ref0 = reference.loop_seconds()
-            one_pass()
-            factor = reference.scale(ref0, reference.loop_seconds())
-            if "fan" in stamps:
-                for name, (a, b) in zip(FAN_OUT, [("fan", "lemmas"), ("lemmas", "lemmas end"),
-                                                  ("lemmas end", "fan end")]):
-                    fan_out.setdefault(name, []).append((stamps[b] - stamps[a]) * 1e3 * factor)
+        fan_out = _ab.timed(passes, fanned)
         verify.run_suite, verify.run_lemma_suite = originals
 
     stack: list[str] = ["other"]
@@ -161,45 +120,24 @@ def _child(suite: str, grid: int, passes: int) -> dict:
             timed.cache_clear = fn.cache_clear
         return timed
 
+    _fork.cpus = lambda: 1
     for section, path in SECTIONS:
         owner, _, name = path.rpartition(".")
-        owner = getattr(verify, owner, None) if owner else verify
-        # only what the module or class itself defines, not what a class inherits
-        if owner is not None and name in vars(owner):
-            setattr(owner, name, wrap(section, vars(owner)[name]))
-    sections: dict[str, list[float]] = {}
-    for _ in range(passes):
+        owner = getattr(verify, owner) if owner else verify
+        setattr(owner, name, wrap(section, vars(owner)[name]))
+
+    def sectioned() -> dict[str, float]:
         spent.clear()
-        ref0 = reference.loop_seconds()
-        t0 = time.perf_counter()
-        in_process()
-        spent["other"] = spent.get("other", 0.0) + time.perf_counter() - t0
-        factor = reference.scale(ref0, reference.loop_seconds())
-        for section, s in spent.items():
-            sections.setdefault(section, []).append(s * 1e3 * factor)
-    return {"pass_ms": statistics.median(totals),
-            "sections_ms": {k: statistics.median(v) for k, v in sections.items()},
-            "fan_out_ms": {k: statistics.median(v) for k, v in fan_out.items()},
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+        total = _ab.seconds(one_pass)
+        spent["other"] = spent.get("other", 0.0) + total
+        return spent
 
-
-def _run(root: Path, suite: str, grid: int, passes: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, str(Path(__file__).resolve()), "--child", "--suite", suite, "--grid", str(grid),
-            "--passes", str(passes), str(root), str(root)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def _quartiles(xs: list[float]) -> list[float]:
-    return [round(q, 3) for q in statistics.quantiles(xs, n=4, method="inclusive")]
+    return {"pass_ms": totals["pass"], "sections_ms": _ab.timed(passes, sectioned), "fan_out_ms": fan_out,
+            **_ab.peak_rss()}
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("first", type=Path)
-    ap.add_argument("second", type=Path)
+    ap = _ab.parser(__doc__)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--passes", type=int, default=5)
     ap.add_argument("--grid", type=int, default=10_000)
@@ -210,33 +148,10 @@ def main() -> int:
         print(json.dumps(_child(args.suite, args.grid, args.passes)))
         return 0
 
-    sides = ("first", "second")
-    runs: dict[str, list[dict]] = {side: [] for side in sides}
-    for i in range(args.pairs):
-        for side in (sides if i % 2 == 0 else sides[::-1]):
-            runs[side].append(_run(getattr(args, side).resolve(), args.suite, args.grid, args.passes))
-
-    section = {side: {name: [r["sections_ms"].get(name, 0.0) for r in runs[side]] for name in NAMES}
-               for side in sides}
-    passes = {side: [r["pass_ms"] for r in runs[side]] for side in sides}
-    result = {
-        "suite": args.suite, "grid": args.grid, "pairs": args.pairs, "passes_per_interpreter": args.passes,
-        "pass_ms": {
-            **{side + "_quartiles": _quartiles(passes[side]) for side in sides},
-            "second_better_pairs": sum(b < a for a, b in zip(passes["first"], passes["second"])),
-        },
-        "section_median_ms": {side: {name: round(statistics.median(section[side][name]), 3)
-                                     for name in NAMES} for side in sides},
-        "section_second_better_pairs": {
-            name: sum(b < a for a, b in zip(section["first"][name], section["second"][name]))
-            for name in NAMES},
-        # the fan-out passes, where the checkout has them: medians over the pairs, ms
-        "fan_out_median_ms": {side: {name: round(statistics.median(r["fan_out_ms"][name] for r in runs[side]), 3)
-                                     for name in FAN_OUT} for side in sides if runs[side][0]["fan_out_ms"]},
-        # this interpreter's peak RSS and that of its largest child (a fan-out child), MB
-        "peak_rss_mb": {side: {key: round(statistics.median(r[key] for r in runs[side]), 2)
-                               for key in ("peak_rss_mb", "children_peak_rss_mb")} for side in sides},
-    }
+    runs = _ab.pairs(args, args.pairs, lambda src: _ab.child(src, __file__, "--suite", args.suite, "--grid",
+                                                             str(args.grid), "--passes", str(args.passes)))
+    result = {"suite": args.suite, "grid": args.grid, "pairs": args.pairs, "passes_per_interpreter": args.passes,
+              **_ab.sections(runs, NAMES, FAN_OUT)}
     print(json.dumps(result, indent=1))
     return 0
 

@@ -26,8 +26,8 @@ executes.
 from __future__ import annotations
 
 import functools
+import marshal
 import math
-import numbers
 from array import array
 from enum import Enum
 from fractions import Fraction
@@ -825,8 +825,8 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     sharpness, remarks), on a fresh table cache.
 
     Several suites run in two processes where that can pay: os.fork exists,
-    two or more CPUs are usable, only the main thread is alive and the grid is
-    one the lemma suite accepts.  Then this process builds the main grid's
+    two or more CPUs are usable and only the main thread is alive.  Then this
+    process checks the grid as the lemma suite does and builds the main grid's
     r', K and E columns, forks one child for the other suites and runs the
     lemma suite, and the child is reaped before the call returns or raises;
     otherwise, or if no child starts, all run here, one after another.  Either
@@ -842,17 +842,12 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     def alone() -> list[CheckResult]:
         return [res for run in runs for res in run(grid_points)]
 
-    if len(runs) == 1 or not (isinstance(grid_points, numbers.Integral) and grid_points >= _SWEEP_LEAST):
+    if len(runs) == 1:
         return alone()
-    _grid_table(int(grid_points)).e  # before the fork, so both processes share it
+    # before the fork, so both processes share it; a grid the lemma suite rejects raises its error here
+    _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have")).e
 
-    def tail(send) -> None:
-        import pickle
-        send(pickle.dumps([res for run in runs[1:] for res in run(grid_points)]))
-
-    def head(recv) -> list[CheckResult]:
-        out = runs[0](grid_points)
-        import pickle
-        return out + pickle.loads(recv())
-
-    return fork(tail, head, alone, "sharpness and remarks")
+    return fork(lambda send: send(marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
+                                                 for run in runs[1:] for res in run(grid_points)])),
+                lambda recv: runs[0](grid_points) + [CheckResult(*t) for t in marshal.loads(recv())],
+                alone, "sharpness and remarks")

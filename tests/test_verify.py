@@ -2,9 +2,12 @@ import functools
 import math
 import mmap
 import os
+import subprocess
+import sys
 import threading
 import time
 from array import array
+from pathlib import Path
 
 import mpmath
 import numpy
@@ -1017,3 +1020,11 @@ class TestFanOut:
         results = run_suite("all", 1000)
         monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 1)
         assert _result_bits(results) == _result_bits(run_suite("all", 1000))
+
+    def test_results_come_back_without_pickle(self):
+        # the child's results travel as marshal data: a fresh interpreter that forks never loads pickle
+        code = ("import sys; import ellipbounds._fork as f, ellipbounds.verify as v; f.cpus = lambda: 2; "
+                "print(len(v.run_suite('all', 1000)), 'pickle' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "42 False\n", "")
