@@ -107,6 +107,12 @@ def timed(n: int, run: Callable[[], dict[str, float]], unit: float = 1e3) -> dic
     return {name: statistics.median(v) for name, v in figures.items()}
 
 
+def children_cpu() -> float:
+    """The CPU time, user and system, of every child of this interpreter reaped so far, s."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def peak_rss() -> dict[str, float]:
     """This interpreter's peak RSS and that of its largest child, MB."""
     return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

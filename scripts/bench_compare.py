@@ -20,10 +20,12 @@ and the argument parse, grid and spec set-up.
 
 FAN_OUT comes from passes with `_fork.fork` time-stamped: "fork" from the
 entry of `fork` to the start of the caller's loop (the usability test, the
-pipe and the fork); "waits for frames" the time the caller spends in
-`recv`, blocked on the child's next chunk and reading it; "reap" from the
-end of the caller's loop to the return of `fork` (closing the pipe and
-`waitpid`).  Tables too short to fork add nothing to these.
+pipe and the fork); "child CPU" the CPU time, user and system, of the
+children that formatted every other chunk; "reap" from the end of the
+caller's loop to the return of `fork` (closing the pipe and `waitpid`).
+Tables too short to fork add nothing to these.  The children's CPU time is
+the work they do, where a wall-clock wait for their frames would also
+measure how they were scheduled.
 
 Both checkouts run as `_ab.py` sets out.  One interpreter runs one
 unmeasured pass, then PASSES passes with no wrapper (the pass totals),
@@ -54,7 +56,7 @@ import time
 import _ab
 
 NAMES = ["columns", "row formatting", "writes"]
-FAN_OUT = ["fork", "waits for frames", "reap"]
+FAN_OUT = ["fork", "child CPU", "reap"]
 
 
 class _TimedFile:
@@ -99,35 +101,28 @@ def _passes(argvs: list[list[str]], passes: int) -> dict:
     totals = _ab.timed(passes, lambda: {"pass": _ab.seconds(one_pass)})
     peak = _ab.peak_rss()
 
-    fork, waits = forking.fork, dict.fromkeys(FAN_OUT, 0.0)
+    fork, fan = forking.fork, dict.fromkeys(FAN_OUT, 0.0)
 
     def stamped(child, caller, alone, what):
         t = [time.perf_counter()]
 
-        def timed_recv(recv):
-            def inner():
-                t0 = time.perf_counter()
-                try:
-                    return recv()
-                finally:
-                    waits["waits for frames"] += time.perf_counter() - t0
-            return inner
-
         def timed_caller(recv):
-            waits["fork"] += time.perf_counter() - t[0]
+            fan["fork"] += time.perf_counter() - t[0]
             try:
-                return caller(timed_recv(recv))
+                return caller(recv)
             finally:
                 t[0] = time.perf_counter()
 
         out = fork(child, timed_caller, alone, what)
-        waits["reap"] += time.perf_counter() - t[0]
+        fan["reap"] += time.perf_counter() - t[0]
         return out
 
     def fanned() -> dict[str, float]:
-        waits.update(dict.fromkeys(FAN_OUT, 0.0))
+        fan.update(dict.fromkeys(FAN_OUT, 0.0))
+        cpu = _ab.children_cpu()
         one_pass()
-        return waits
+        fan["child CPU"] = _ab.children_cpu() - cpu
+        return fan
 
     forking.fork = stamped
     fan_out = _ab.timed(passes, fanned)

@@ -19,10 +19,11 @@ A wrapper cannot see into that child, so the sections time the same call
 on its one-process path, with `_fork.cpus` pinning the checkout to one
 usable CPU.  For `all` there is also FAN_OUT, from passes with
 `run_suite` and the lemma suite time-stamped: the build of the main table,
-the pipe and the fork before the lemma suite; the lemma suite; and after it
-the wait for the child, the reading of its results and the reap.  The
-wait is how much longer the child ran than the lemma suite, plus the read:
-near 0 when the lemma suite is the critical path.
+the pipe and the fork before the lemma suite; the lemma suite; and the
+child's CPU time, user and system, which the child spends on the sharpness
+and remarks suites and sending their results (0 where the checkout does
+not fork).  The child's CPU time is the work it does, where a wall-clock
+wait for it would also measure how it was scheduled.
 
 Both checkouts run as `_ab.py` sets out.  One interpreter runs one
 unmeasured pass, then PASSES passes with no wrapper (the pass totals),
@@ -47,7 +48,7 @@ import _ab
 
 NAMES = ["tables", "cancelling columns", "sweeps", "classification", "validity", "falsifiers",
          "remarks", "other"]
-FAN_OUT = ["table build and fork", "lemma suite", "wait for the child"]
+FAN_OUT = ["table build and fork", "lemma suite", "child CPU"]
 
 
 def _column(table, name: str) -> str:
@@ -93,9 +94,10 @@ def _child(suite: str, grid: int, passes: int) -> dict:
             return timed
 
         def fanned() -> dict[str, float]:
+            cpu = _ab.children_cpu()
             one_pass()
-            return {name: stamps[b] - stamps[a] for name, (a, b) in zip(
-                FAN_OUT, [("fan", "lemmas"), ("lemmas", "lemmas end"), ("lemmas end", "fan end")])}
+            return dict(zip(FAN_OUT, (stamps["lemmas"] - stamps["fan"], stamps["lemmas end"] - stamps["lemmas"],
+                                      _ab.children_cpu() - cpu)))
 
         originals = verify.run_suite, verify.run_lemma_suite
         verify.run_suite, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])

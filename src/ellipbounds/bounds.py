@@ -71,6 +71,7 @@ __all__ = [
 
 _PI = math.pi
 _QUARTER_PI = _PI / 4.0
+TWO_THIRDS = 2.0 / 3.0
 
 BETA_STAR = 0.5 - 2.0 * math.sqrt(2.0 * (_PI * _PI - 8.0)) / (_PI * _PI)
 ALPHA_STAR = 0.5 - math.sqrt(2.0) / 4.0
@@ -123,28 +124,28 @@ def thm12_upper_threshold(p: float) -> float:
     return _t_thresholds(_param("p", p))[1]
 
 
-# Kernels: one expression per distinct closed form in its arguments, r and rc (r' with r in (0, 1)
-# validated), compiled into the scalar kernel name(*args, r, rc), which BoundSpec._at binds to
-# _DERIVED's r-free args, and the column kernel name_col(*args, rs, rcs), one list comprehension
-# with no frame per value; each (x := ...) is a temporary of the closed form, so both make the
-# same flops in the same order.
+# Kernels: each distinct closed form as its parameters, the r-free arguments they give (name: expression)
+# and one expression in those arguments, r and rc (r' with r in (0, 1) validated), compiled by one exec
+# into name_args(*params), which BoundSpec calls once, at construction; the scalar kernel
+# name(*args, r, rc), which BoundSpec._at binds to those; and the column kernel name_col(*args, rs, rcs),
+# one list comprehension with no frame per value.  Each (x := ...) is a temporary, so both kernels make
+# the same flops in the same order.  Every literal is exact in binary; a value that is not is a name.
 _KERNELS = {
-    "_vuorinen": ("", "HALF_PI * ((1.0 + rc**1.5) / 2.0) ** (2.0 / 3.0)"),
-    "_alzer_qiu": ("", "_QUARTER_PI * (math.sqrt(1.0 - ALZER_ALPHA * (r2 := r * r))"
-                       " + math.sqrt(1.0 - ALZER_BETA * r2))"),
-    "_thm11": ("q, q1, ", "_QUARTER_PI * (math.sqrt(q + q1 * (rc2 := rc * rc)) + math.sqrt(q1 + q * rc2))"),
-    "_thm12": ("t, t1, c, e, p, ",
+    "_vuorinen": ("", {}, "HALF_PI * ((1.0 + rc**1.5) / 2.0) ** TWO_THIRDS"),
+    "_alzer_qiu": ("", {}, "_QUARTER_PI * (math.sqrt(1.0 - ALZER_ALPHA * (r2 := r * r))"
+                           " + math.sqrt(1.0 - ALZER_BETA * r2))"),
+    "_thm11": ("q", {"q": "q", "q1": "1.0 - q"},
+               "_QUARTER_PI * (math.sqrt(q + q1 * (rc2 := rc * rc)) + math.sqrt(q1 + q * rc2))"),
+    "_thm12": ("t, p", {"t": "t", "t1": "1.0 - t", "c": "2.0 ** (p - 2.0) * _PI", "e": "1.0 - 2.0 * p", "p": "p"},
                "c * (1.0 + rc) ** e * ((x := t + t1 * rc) * x + (y := t1 + t * rc) * y) ** p"),
 }
 # module attributes under their own names, so that a pickled BoundSpec._at finds its kernel
-exec("".join(f"def {name}({args}r, rc):\n return {expr}\n"
-             f"def {name}_col({args}rs, rcs):\n return [{expr} for r, rc in zip(rs, rcs)]\n"
-             for name, (args, expr) in _KERNELS.items()), globals())
+exec("".join(f"def {name}_args({params}):\n return [{', '.join(args.values())}]\n"
+             f"def {name}({', '.join([*args, 'r, rc'])}):\n return {expr}\n"
+             f"def {name}_col({', '.join([*args, 'rs, rcs'])}):\n return [{expr} for r, rc in zip(rs, rcs)]\n"
+             for name, (params, args, expr) in _KERNELS.items()), globals())
+_ARGS = {globals()[name]: globals()[name + "_args"] for name in _KERNELS}
 _COLUMN = {globals()[name]: globals()[name + "_col"] for name in _KERNELS}
-
-
-_DERIVED = {_thm11: lambda q: (q, 1.0 - q),
-            _thm12: lambda t, p: (t, 1.0 - t, 2.0 ** (p - 2.0) * _PI, 1.0 - 2.0 * p, p)}
 
 
 def vuorinen_lower(m: Modulus | float) -> float:
@@ -202,8 +203,8 @@ class Family(Enum):
 
 
 class _Row(NamedTuple):
-    """One family: ``kernel(*args, r, r')`` with args ``_DERIVED`` of the spec's
-    ``params`` or else ``fixed``; a fixed ``side``, or else the first parameter classifies
+    """One family: ``kernel(*args, r, r')`` with the args ``_ARGS[kernel]`` gives for the
+    spec's ``params`` or else ``fixed``; a fixed ``side``, or else the first parameter classifies
     against ``thresholds(*other params)``, listed as defaults at ``sharp_at``."""
 
     kernel: Callable[..., float]
@@ -263,8 +264,7 @@ class BoundSpec:
         if side is None:
             lo, hi = row.thresholds(*args[1:])
             side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
-        derive = _DERIVED.get(row.kernel)
-        object.__setattr__(self, "_at", partial(row.kernel, *(derive(*args) if derive else args)))
+        object.__setattr__(self, "_at", partial(row.kernel, *_ARGS[row.kernel](*args)))
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_side", side)
 

@@ -443,14 +443,15 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     """Sweep one named auxiliary function over a uniform grid on
     (1e-6, 1 - 1e-6), recording the worst movement against its claimed
     direction and Richardson-style endpoint extrapolations from the three
-    grid points nearest each endpoint."""
+    grid points nearest each endpoint.  ``params`` is a dict of exactly the
+    function's parameters (``{"p": ...}`` for lemma24_h), or None."""
     if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
     n = _size(grid, _SWEEP_LEAST, "sweep grid must have")
-    params = dict(params or {})
-    if set(params) != set(sd.params):
-        raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {sorted(params)}")
+    params = {} if params is None else params
+    if not isinstance(params, dict) or set(params) != set(sd.params):
+        raise ConfigurationError(f"{fn} takes parameters {tuple(sd.params)}, got {params!r}")
     params = sd.check(params)
 
     table = _grid_table(n)
@@ -585,14 +586,11 @@ class NoCrossover:
 
 
 _SOLID = 1e-12
-_BLOCK = 1024
 
 
 def _difference(a: BoundSpec, b: BoundSpec, t: _Table) -> Iterator[float]:
-    # a - b at each radius of the table, from both column kernels over blocks of rows, so that
-    # neither bound's whole column is held at once
-    for i in range(0, len(t.r), _BLOCK):
-        yield from map(sub, *_values((a, b), t.r[i:i + _BLOCK], t.rc[i:i + _BLOCK]))
+    # a - b at each radius of the table, from both column kernels, with no list of differences
+    return map(sub, *_values((a, b), t.r, t.rc))
 
 
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:

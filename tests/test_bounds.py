@@ -1,7 +1,9 @@
+import ast
 import copy
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -407,6 +409,24 @@ def test_bound_kernel_is_the_closed_form_bit_for_bit(spec, r):
     # the r-free factors bound once per spec round exactly as the closed form's
     rc = math.sqrt((1.0 - r) * (1.0 + r))
     assert spec._at(r, rc).hex() == _closed_form(spec, r, rc).hex()
+
+
+# each argument derivation and closed form of the kernel table, by kernel and argument name
+KERNEL_SOURCES = {f"{name}:{arg}" if arg else name: source for name, (_, args, expr) in bounds._KERNELS.items()
+                  for arg, source in [*args.items(), ("", expr)]}
+
+
+@pytest.mark.parametrize("source", KERNEL_SOURCES.values(), ids=KERNEL_SOURCES.keys())
+def test_kernel_literals_are_exact(source):
+    # every value the table's expressions see is a name or a literal equal to its binary value, and
+    # no operation on literals alone rounds before an arithmetic other than the float one could see it
+    for node in ast.walk(ast.parse(source, mode="eval")):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            operands = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+            assert not all(isinstance(o, ast.Constant) for o in operands), ast.get_source_segment(source, node)
+        if isinstance(node, ast.Constant):
+            text = ast.get_source_segment(source, node)
+            assert Fraction(text) == Fraction(node.value), text
 
 
 class TestBestEnclosure:

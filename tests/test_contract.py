@@ -92,6 +92,7 @@ CALLS = {
     "lemma26_classify p": lambda x: eb.lemma26_classify(0.3, x, 100),
     "sweep_monotone p": lambda x: eb.sweep_monotone("lemma24_h", 1000, {"p": x}),
     "sweep_monotone fn": lambda x: eb.sweep_monotone(x, 1000),
+    "sweep_monotone params": lambda x: eb.sweep_monotone("lemma24_h", 1000, x),
     "best_enclosure candidate": lambda x: eb.best_enclosure(0.5, [x, *eb.default_candidates()]),
     "find_crossover a": lambda x: eb.find_crossover(x, REMARK_PAIR[1]),
     "find_crossover b": lambda x: eb.find_crossover(REMARK_PAIR[0], x),

@@ -14,6 +14,8 @@ SCRIPTS = ROOT / "scripts"
 # the keys bench_enclose.py prints: the run's settings, and per case a figure per side
 ENCLOSE_KEYS = {"r", "pairs", "rounds_per_interpreter", "calls_per_block", "us_per_call"}
 FIGURE_KEYS = {"first_median", "second_median", "first_quartiles", "second_quartiles", "second_better_pairs"}
+# the keys bench_verify.py and bench_compare.py print besides their settings
+SECTIONS_KEYS = {"pass_ms", "section_median_ms", "section_second_better_pairs", "fan_out_median_ms", "peak_rss_mb"}
 
 
 @pytest.fixture
@@ -61,3 +63,22 @@ def test_enclose_harness_end_to_end():
     for figure in result["us_per_call"].values():
         assert set(figure) == FIGURE_KEYS
         assert figure["first_median"] > 0.0 and figure["first_quartiles"] == [figure["first_median"]] * 3
+
+
+@pytest.mark.parametrize("script, args, settings, fan_out", [
+    ("bench_verify.py", ["--grid", "1000"], {"suite", "grid"},
+     ["table build and fork", "lemma suite", "child CPU"]),
+    ("bench_compare.py", ["--points", "800"], {"seed", "rows"}, ["fork", "child CPU", "reap"]),
+], ids=["verify", "compare"])
+def test_section_harness_end_to_end(script, args, settings, fan_out):
+    # the least verify grid, and compare tables just long enough to fork: both report the child's CPU time
+    argv = [sys.executable, str(SCRIPTS / script), ".", ".", "--pairs", "1", "--passes", "1", *args]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert set(result) == settings | {"pairs", "passes_per_interpreter"} | SECTIONS_KEYS
+    assert set(result["pass_ms"]) == FIGURE_KEYS
+    for side in ("first", "second"):
+        figures = result["fan_out_median_ms"][side]
+        assert list(figures) == fan_out
+        assert figures["child CPU"] >= 0.0

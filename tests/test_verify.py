@@ -371,6 +371,13 @@ class TestSweepMonotone:
         with pytest.raises(ConfigurationError):
             sweep_monotone("lemma24_h", grid=1000)
 
+    # params that are no dict, or a dict whose keys do not sort together
+    @pytest.mark.parametrize("params", ["p", [("p", 1, 2)], [("p", 2.0)], 5, 0, {1: 2, "p": 1}, {1: 2}],
+                             ids=repr)
+    def test_rejects_params_that_are_no_parameter_dict(self, params):
+        with pytest.raises(ConfigurationError, match="^lemma24_h takes parameters"):
+            sweep_monotone("lemma24_h", grid=1000, params=params)
+
     def test_lemma22_3_report(self):
         rep = sweep_monotone("lemma22_3", grid=2000)
         assert rep.direction is Direction.INCREASING
