@@ -228,6 +228,9 @@ _FAMILIES = {
     Family.COR31_LOWER: _Row(_thm12, fixed=(LAMBDA_STAR, 2.0), side=Side.LOWER),
     Family.COR31_UPPER: _Row(_thm12, fixed=(MU_STAR, 0.5), side=Side.UPPER),
 }
+# each fixed-constant family's kernel with its arguments bound, resolved once, at import
+_FIXED_AT = {family: partial(row.kernel, *_ARGS[row.kernel](*row.fixed))
+             for family, row in _FAMILIES.items() if not row.params}
 
 
 @_record
@@ -239,7 +242,8 @@ class BoundSpec:
     the two thresholds give Side.INVALID.  The kernel, its arguments and
     the side are resolved once, at construction, into ``_at``, ``_args``
     and ``_side``, which are not fields; ``_at(r, r')`` is the scalar kernel
-    with its arguments bound (a ``functools.partial``), and ``_values``
+    with its arguments bound (a ``functools.partial``, shared by every spec
+    of a fixed-constant family and bound at import), and ``_values``
     hands ``_at.args`` to the matching column kernel for whole columns.
     """
 
@@ -264,7 +268,8 @@ class BoundSpec:
         if side is None:
             lo, hi = row.thresholds(*args[1:])
             side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
-        object.__setattr__(self, "_at", partial(row.kernel, *_ARGS[row.kernel](*args)))
+        at = partial(row.kernel, *_ARGS[row.kernel](*args)) if given else _FIXED_AT[self.family]
+        object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_side", side)
 

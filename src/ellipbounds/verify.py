@@ -5,10 +5,14 @@ classification, sharpness falsifiers, and crossover search between bounds.
 A table over ascending radii r in (0, 1) builds each other column on its
 first read: r', K and E (one AGM run per radius) and the cancelling
 combinations K - E, E - r'^2 K, 2E - r'^2 K - pi/2, (K - E) - (E - r'^2 K)
-and E^2 - r'^2 K^2.  Every auxiliary function is a column function, one list
-comprehension over a table's columns, and a public function such as
-lemma23_g(r) evaluates a one-row table through it.  The grid tables of the
-last three sizes sit in one cache that run_suite empties on entry.
+and E^2 - r'^2 K^2.  The direct formula of each cancelling column and each
+auxiliary function are rows of one expression table, _EXPRESSIONS, which one
+exec compiles into column functions, each one list comprehension over the
+table columns its row reads; a public function such as lemma23_g(r)
+evaluates a one-row table through it.  The table is compiled here, not with
+bounds._KERNELS, whose kernels read fixed (r, r') columns and need a scalar
+twin that these rows do not.  The grid tables of the last three sizes sit in
+one cache that run_suite empties on entry.
 
 run_suite("all") may use a second process: on a host with two or more usable
 CPUs it builds the main grid table's r', K and E columns, forks one child for
@@ -140,17 +144,44 @@ def _horner(coeffs: list[float], x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Tables: columns over ascending radii, each built on its first read.
+# The closed forms: the direct formula of each cancelling column, then each
+# auxiliary function of the lemmas, as its parameters, the row-free arguments
+# they give (name: expression) and one expression in those arguments and the
+# table's columns, compiled by one exec into name(t, *params): one list
+# comprehension over the columns the expression reads, in _COLUMNS order, each
+# flop in the order of the formula whatever the table's length.  No parameter
+# or argument is named as a column, which it would shadow.  d2 reads kme's and
+# emr's series rows, as its cutoff covers theirs.  Every literal is exact in binary.
 
-# each cancelling column's direct formula; d2 may read kme's and emr's series rows, as its cutoff covers theirs
-_DIRECT = {
-    "kme": lambda t: map(sub, t.k, t.e),
-    "emr": lambda t: [e - rc * rc * k for rc, k, e in zip(t.rc, t.k, t.e)],
-    "wmh": lambda t: [2.0 * e - rc * rc * k - HALF_PI for rc, k, e in zip(t.rc, t.k, t.e)],
-    "d2": lambda t: map(sub, t.kme, t.emr),
-    "dd": lambda t: [e * e - rc * rc * k * k for rc, k, e in zip(t.rc, t.k, t.e)],
+_COLUMNS = ("r", "rc", "k", "e", *_SERIES)
+_EXPRESSIONS = {
+    "_kme": ("", {}, "k - e"),
+    "_emr": ("", {}, "e - rc * rc * k"),
+    "_wmh": ("", {}, "2.0 * e - rc * rc * k - HALF_PI"),
+    "_d2": ("", {}, "kme - emr"),
+    "_dd": ("", {}, "e * e - rc * rc * k * k"),
+    "_l22_1": ("", {}, "emr / (r * r)"),
+    "_l22_2": ("", {}, "e / math.sqrt(rc)"),
+    "_l22_3": ("", {}, "kme / (r * r * k)"),
+    "_l22_4": ("", {}, "emr / (r * r * k)"),
+    "_l22_5": ("", {}, "rc**0.75 * kme / (r * r)"),
+    "_l22_6": ("", {}, "emr * emr / dd"),
+    "_l22_7": ("", {}, "4.0 * wmh * (wmh + _PI) / (r * r)"),
+    "_l23_g": ("", {}, "(kme * emr + e * d2) / (emr * emr)"),
+    "_l24_h": ("p", {"a": "2.0 * p - 1.0", "b": "2.0 * p"}, "a * (r * r) + b * (r * r) * e / emr"),
+    "_l26_f": ("u, p", {}, "p * math.log1p(u * r * r) - math.log1p(wmh * 2.0 / _PI)"),
+    # the bracket of F is 1 - J / pi^2 with J the lemma 2.2 part (7) function
+    "_l27_F": ("", {}, "(wmh + HALF_PI) * (wmh + HALF_PI) * (1.0 - 4.0 * wmh * (wmh + _PI) / (r * r) / _PI2)"),
 }
+exec("".join(f"def {name}(t, {params}):\n"
+             + "".join(f" {arg} = {expr}\n" for arg, expr in args.items())
+             + f" return [{body} for {''.join(c + ', ' for c in cols)}in zip({', '.join('t.' + c for c in cols)})]\n"
+             for name, (params, args, body) in _EXPRESSIONS.items()
+             for cols in [[c for c in _COLUMNS if c in compile(body, name, "eval").co_names]]), globals())
 
+
+# --------------------------------------------------------------------------
+# Tables: columns over ascending radii, each built on its first read.
 
 class _Table:
     """Columns over ascending radii r in (0, 1), each an array("d"); the others,
@@ -172,9 +203,9 @@ class _Table:
             self.k, self.e = ks, es
             col = ks if name == "k" else es
         elif name in _SERIES:
-            # the direct formula, then the series in the rows below the cutoff (r < cutoff exactly)
+            # the column's row _name, then the series in the rows below the cutoff (r < cutoff exactly)
             cut, unit, coeffs = _SERIES[name]
-            rs, col = self.r, array("d", _DIRECT[name](self))
+            rs, col = self.r, array("d", globals()["_" + name](self))
             for i in range(bisect_left(rs, cut)):
                 col[i] = unit * _horner(coeffs, rs[i] * rs[i])
             setattr(self, name, col)
@@ -188,56 +219,6 @@ class _Table:
 def _grid_table(n: int) -> _Table:
     """The table of the n-point grid_open_unit grid, for a grid size _size has checked."""
     return _Table(grid_open_unit(n))
-
-
-# --------------------------------------------------------------------------
-# The auxiliary functions themselves, as column functions: each flop in the
-# order of the lemma's formula, whatever the table's length.
-
-def _l22_1(t: _Table) -> list[float]:
-    return [em / (r * r) for r, em in zip(t.r, t.emr)]
-
-
-def _l22_2(t: _Table) -> list[float]:
-    return [e / math.sqrt(rc) for rc, e in zip(t.rc, t.e)]
-
-
-def _l22_3(t: _Table) -> list[float]:
-    return [d / (r * r * k) for r, k, d in zip(t.r, t.k, t.kme)]
-
-
-def _l22_4(t: _Table) -> list[float]:
-    return [em / (r * r * k) for r, k, em in zip(t.r, t.k, t.emr)]
-
-
-def _l22_5(t: _Table) -> list[float]:
-    return [rc**0.75 * d / (r * r) for r, rc, d in zip(t.r, t.rc, t.kme)]
-
-
-def _l22_6(t: _Table) -> list[float]:
-    return [em * em / dd for em, dd in zip(t.emr, t.dd)]
-
-
-def _l22_7(t: _Table) -> list[float]:
-    return [4.0 * w * (w + _PI) / (r * r) for r, w in zip(t.r, t.wmh)]
-
-
-def _l23_g(t: _Table) -> list[float]:
-    return [(d * em + e * d2) / (em * em) for e, d, em, d2 in zip(t.e, t.kme, t.emr, t.d2)]
-
-
-def _l24_h(t: _Table, p: float) -> list[float]:
-    a, b = 2.0 * p - 1.0, 2.0 * p
-    return [a * (r * r) + b * (r * r) * e / em for r, e, em in zip(t.r, t.e, t.emr)]
-
-
-def _l26_f(t: _Table, u: float, p: float) -> list[float]:
-    return [p * math.log1p(u * r * r) - math.log1p(w * 2.0 / _PI) for r, w in zip(t.r, t.wmh)]
-
-
-def _l27_F(t: _Table) -> list[float]:
-    # the bracket of F is 1 - J / pi^2 with J the lemma 2.2 part (7) function
-    return [(w + HALF_PI) * (w + HALF_PI) * (1.0 - j / _PI2) for w, j in zip(t.wmh, _l22_7(t))]
 
 
 # Below this radius r^2 < 1e-80, so every swept function equals its claimed
@@ -483,6 +464,9 @@ class SignCase(Enum):
 
 @_record
 class SignCaseReport:
+    """The sign case of the lemma 2.6 function f at u and p, the floats that were checked,
+    on a grid of grid_size points, the int that was checked."""
+
     u: float
     p: float
     case_id: SignCase
@@ -542,7 +526,7 @@ def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
     else:
         raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
                                 f"starting {'positive' if starts_positive else 'negative'}")
-    return SignCaseReport(u=u, p=p, case_id=case, eta=eta, grid_size=n)
+    return SignCaseReport(u=uf, p=pf, case_id=case, eta=eta, grid_size=n)
 
 
 def lemma26_case_sample() -> list[tuple[float, float, SignCase]]:

@@ -41,7 +41,7 @@ from ellipbounds import (
     toader_mean,
     vuorinen_lower,
 )
-from ellipbounds import bounds
+from ellipbounds import bounds, verify
 from ellipbounds.bounds import _columns, _split
 from ellipbounds.cli import GridSpec, Spacing
 from ellipbounds.core import _complement
@@ -411,9 +411,14 @@ def test_bound_kernel_is_the_closed_form_bit_for_bit(spec, r):
     assert spec._at(r, rc).hex() == _closed_form(spec, r, rc).hex()
 
 
-# each argument derivation and closed form of the kernel table, by kernel and argument name
-KERNEL_SOURCES = {f"{name}:{arg}" if arg else name: source for name, (_, args, expr) in bounds._KERNELS.items()
+# each argument derivation and closed form of the bound kernel table and of verify's expression table, by
+# row and argument name
+KERNEL_SOURCES = {f"{name}:{arg}" if arg else name: source
+                  for name, (_, args, expr) in [*bounds._KERNELS.items(), *verify._EXPRESSIONS.items()]
                   for arg, source in [*args.items(), ("", expr)]}
+# a verify parameter or argument named as a column would shadow that column in the compiled comprehension
+assert not {n for params, args, _ in verify._EXPRESSIONS.values()
+            for n in [*params.split(", "), *args]} & {*verify._COLUMNS}
 
 
 @pytest.mark.parametrize("source", KERNEL_SOURCES.values(), ids=KERNEL_SOURCES.keys())

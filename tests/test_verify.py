@@ -346,6 +346,12 @@ class TestLemma26:
         rep = lemma26_classify(0.3, 1.0, numpy.int64(256))
         assert (type(rep.grid_size), rep.grid_size) == (int, 256)
 
+    def test_report_holds_the_checked_floats(self):
+        # u and p as the classification read them, whatever type they were given as
+        for u, p in [("0.3", "1.0"), (True, 1), (numpy.float64(0.3), numpy.int64(1))]:
+            rep = lemma26_classify(u, p)
+            assert [(type(x), x) for x in (rep.u, rep.p)] == [(float, float(u)), (float, float(p))]
+
 
 class TestLemma27:
     def test_endpoints(self):
