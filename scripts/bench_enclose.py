@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time the layers of one enclosure call, for two checkouts, and print the
-comparison as JSON.
+"""Time the layers of the point calls, enclosures and evaluations, for two
+checkouts, and print the comparison as JSON.
 
-The cases are the steps a point-queries enclosure call makes: sorting the
-13 default candidates into lower and upper (`bounds._split`), building a
-spec, parsing a plain family name, an alias and a parametric text, and
+The cases are the steps of the point-queries calls: sorting the 13
+default candidates into lower and upper (`bounds._split`), building a spec,
+parsing a plain family name, two aliases and two parametric texts, and
 `best_enclosure` itself on the 13 defaults (with the `default_candidates()`
-copy the call makes) and on two specs parsed beforehand, and building the
+copy the call makes) and on two specs parsed beforehand, building the
 value records an enclosure or an evaluation returns (`Enclosure`,
-`EllipticValues`) or checks its arguments with (`MeanPair`).  `complete_e`
-is the control: the change under test should leave it where it is.
+`EllipticValues`) or checks its arguments with (`MeanPair`), and the five
+scalar calls `complete_e`, `complete_k`, `elliptic_ke`, `ellipse_perimeter`
+and `toader_mean`.  Building `BoundSpec(Family.THM12, t=0.9, p=1.5)` is
+the control: it validates and classifies its parameters, reads no radius
+and parses no text, and the change under test should leave it where it is.
 
 Both checkouts run as `_ab.py` sets out.  Each case is timed as CALLS
 calls in a loop, one scaled block, so a figure reads as the microseconds per
@@ -43,9 +46,12 @@ def _cases() -> dict:
     values = tuple(spec.evaluate(R) for spec in defaults)
     return {
         "_split(default_candidates())": lambda: bounds._split(defaults),
-        "BoundSpec(Family.THM12, t=0.9, p=1.5)": lambda: bounds.BoundSpec(bounds.Family.THM12, t=0.9, p=1.5),
+        "BoundSpec(Family.THM12, t=0.9, p=1.5) (control)":
+            lambda: bounds.BoundSpec(bounds.Family.THM12, t=0.9, p=1.5),
         "parse plain name 'vuorinen'": lambda: bounds.parse_bound_spec("vuorinen"),
         "parse alias 'thm11-lower'": lambda: bounds.parse_bound_spec("thm11-lower"),
+        "parse alias 'thm11-upper'": lambda: bounds.parse_bound_spec("thm11-upper"),
+        "parse 'thm11:q=0.05'": lambda: bounds.parse_bound_spec("thm11:q=0.05"),
         "parse 'thm12:t=0.51,p=1.3'": lambda: bounds.parse_bound_spec("thm12:t=0.51,p=1.3"),
         "best_enclosure(r, default_candidates())":
             lambda: bounds.best_enclosure(R, bounds.default_candidates()),
@@ -54,7 +60,11 @@ def _cases() -> dict:
             lambda: bounds.Enclosure(1.25, 1.5, *parsed, values),
         "EllipticValues(k, e)": lambda: core.EllipticValues(1.6857503548125961, 1.4674622093394272),
         "MeanPair(a, b)": lambda: core.MeanPair(1.0, 2.0),
-        "complete_e (control)": lambda: core.complete_e(R),
+        "complete_e(r)": lambda: core.complete_e(R),
+        "complete_k(r)": lambda: core.complete_k(R),
+        "elliptic_ke(r)": lambda: core.elliptic_ke(R),
+        "ellipse_perimeter(r)": lambda: core.ellipse_perimeter(R),
+        "toader_mean(1, 2)": lambda: core.toader_mean(1.0, 2.0),
     }
 
 

@@ -450,6 +450,10 @@ def _parse_params(text: str, where: str) -> dict[str, float]:
 _NAMES: dict[str, tuple[Family, Side | None]] = {f.value: (f, None) for f in Family}
 _NAMES.update({f"{f.value}-{s.value}": (f, s) for f, row in _FAMILIES.items()
                if row.thresholds is not None for s in (Side.LOWER, Side.UPPER)})
+# The names that need no parameter, each mapped to its prebuilt spec: a fixed family, or the
+# -lower/-upper alias of a one-parameter family, which defaults that parameter to its threshold.
+_NAMED = {name: next(spec for spec in _DEFAULTS if spec.family is family and (want is None or spec._side is want))
+          for name, (family, want) in _NAMES.items() if len(_FAMILIES[family].params) == (want is not None)}
 
 
 def parse_bound_spec(text: str) -> BoundSpec:
@@ -461,10 +465,20 @@ def parse_bound_spec(text: str) -> BoundSpec:
     alpha_star, lambda_star, mu_star.  A parameter may appear once, and only
     if the family takes it.  The -lower/-upper aliases default the missing
     parameter to the matching sharp constant and reject parameters that
-    classify on the other side.
+    classify on the other side.  A name that needs no parameter (a fixed
+    family, thm11-lower or thm11-upper) returns the shared prebuilt spec
+    that default_candidates() lists, which is safe because specs are frozen.
+    A text that is not a string raises ConfigurationError.
     """
-    name, _, rest = text.strip().partition(":")
+    try:
+        name, _, rest = text.strip().partition(":")
+    except (AttributeError, TypeError):
+        raise ConfigurationError(f"bound spec must be a string, got {text!r}") from None
     name = name.strip().lower()
+    if not rest:
+        spec = _NAMED.get(name)
+        if spec is not None:
+            return spec
     params = _parse_params(rest, text) if rest else {}
     try:
         family, want = _NAMES[name]

@@ -44,6 +44,8 @@ _HUGE = sys.float_info.max
 # Quadratic convergence makes 40 iterations unreachable in practice; the cap
 # only guards against non-finite garbage sneaking through.
 _AGM_MAX_ITER = 40
+# the AGM stops once |a_n - b_n| <= _AGM_TOL a_n
+_AGM_TOL = 4.0 * _EPS
 
 
 def _complement(r: float) -> float:
@@ -59,9 +61,9 @@ def _float(value: object) -> float:
 
 
 def _radius(value: object, open_: bool = False) -> float:
-    # the one range check on a radius: a Modulus gives its r, anything else
-    # goes through _float; open_ narrows [0, 1] to (0, 1)
-    r = value.r if isinstance(value, Modulus) else _float(value)
+    # the one range check on a radius: a float is its own r, a Modulus gives
+    # its r, anything else goes through _float; open_ narrows [0, 1] to (0, 1)
+    r = value if value.__class__ is float else value.r if isinstance(value, Modulus) else _float(value)
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"modulus must lie in [0, 1], got {value!r}")
     if open_ and not (0.0 < r < 1.0):
@@ -187,7 +189,7 @@ def agm(a: float, b: float) -> float:
     pair = MeanPair(a, b)
     x, y = pair.a, pair.b
     for _ in range(_AGM_MAX_ITER):
-        if abs(x - y) <= 4.0 * _EPS * x:
+        if abs(x - y) <= _AGM_TOL * x:
             break
         # halves before the sum, and sqrt(x) sqrt(y) where x y leaves the
         # normal range: both equal the plain forms everywhere else
@@ -201,14 +203,15 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
     # K and E from one AGM run; K diverges at r = 1.
     if r == 1.0:
         raise DivergenceError("K(r) diverges as r -> 1")
+    sqrt, tol = math.sqrt, _AGM_TOL
     a, b = 1.0, r_comp
     c = r
     csum = 0.5 * c * c
     pow2 = 1.0
     for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= 4.0 * _EPS * a:
+        if abs(a - b) <= tol * a:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
         csum += pow2 * c * c
         pow2 *= 2.0
     k = math.pi / (2.0 * a)
@@ -216,14 +219,16 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
 
 
 def _row(r: float) -> tuple[float, float, float, float]:
-    # the row (r, r', K, E) of a radius already known to lie in [0, 1]
+    # the row (r, r', K, E) of a radius already known to lie in [0, 1], for the
+    # verify tables and the residual checks; a point call runs _agm_ke itself
     rc = _complement(r)
     return (r, rc, *_agm_ke(r, rc))
 
 
 def elliptic_ke(m: Modulus | float) -> EllipticValues:
     """Evaluate K(r) and E(r) together from a single AGM run, r in [0, 1)."""
-    return EllipticValues(*_row(_radius(m))[2:])
+    r = _radius(m)
+    return EllipticValues(*_agm_ke(r, _complement(r)))
 
 
 def complete_k(m: Modulus | float) -> float:
@@ -233,7 +238,8 @@ def complete_k(m: Modulus | float) -> float:
     DivergenceError rather than returning an infinity, so enclosure code
     cannot silently propagate one.
     """
-    return _row(_radius(m))[2]
+    r = _radius(m)
+    return _agm_ke(r, _complement(r))[0]
 
 
 def complete_e(m: Modulus | float) -> float:
@@ -243,7 +249,8 @@ def complete_e(m: Modulus | float) -> float:
     returned exactly as 1.0.
     """
     r = _radius(m)
-    return 1.0 if r == 1.0 else _row(r)[3]
+    # E(1) = 1 exactly; ellipse_perimeter's modulus rounds to 1 for aspect ratios below ~1e-8
+    return 1.0 if r == 1.0 else _agm_ke(r, _complement(r))[1]
 
 
 def ellipse_perimeter(r: float) -> float:

@@ -528,6 +528,9 @@ class TestBestEnclosure:
         assert best_enclosure(0.5, (vuo, bar)) == best_enclosure(0.5, [vuo, bar])
 
 
+PARAMETERLESS = {"vuorinen", "barnard", "alzer-qiu", "cor31-lower", "cor31-upper", "thm11-lower", "thm11-upper"}
+
+
 class TestParseBoundSpec:
     def test_plain_families(self):
         assert parse_bound_spec("vuorinen").family is Family.VUORINEN
@@ -560,6 +563,51 @@ class TestParseBoundSpec:
         msg = str(exc.value)
         assert gives in msg
         assert "inside the gap" not in msg and "a upper" not in msg
+
+    @pytest.mark.parametrize("spelling", ["{}", "  {}\t", "{}:", " {}: "],
+                             ids=["plain", "padded", "colon", "padded-colon"])
+    @pytest.mark.parametrize("name", sorted(PARAMETERLESS))
+    def test_named_specs_are_the_defaults(self, name, spelling, monkeypatch):
+        # a name that needs no parameter returns its prebuilt default, equal to the spec the
+        # general path builds for it, in any case
+        texts = [spelling.format(name), spelling.format(name.upper())]
+        default = bounds._NAMED[name]
+        named = [parse_bound_spec(text) for text in texts]
+        monkeypatch.setattr(bounds, "_NAMED", {})
+        built = [parse_bound_spec(text) for text in texts]
+        assert any(default is spec for spec in bounds._DEFAULTS)
+        for spec, again in zip(named, built):
+            assert spec is default and again is not default
+            assert spec == again
+            assert (spec.side, spec.label) == (again.side, again.label)
+
+    def test_named_table_is_every_parameterless_name(self, monkeypatch):
+        # the names the general path parses without a parameter, no more and no fewer
+        assert set(bounds._NAMED) == PARAMETERLESS
+        monkeypatch.setattr(bounds, "_NAMED", {})
+        parses = set()
+        for name in bounds._NAMES:
+            try:
+                parse_bound_spec(name)
+            except ConfigurationError:
+                continue
+            parses.add(name)
+        assert parses == PARAMETERLESS
+
+    @pytest.mark.parametrize("text,message", [("thm11", "thm11 needs parameter(s) ['q']"),
+                                              ("thm12", "thm12 needs parameter(s) ['t', 'p']"),
+                                              (" THM12-Lower:", "thm12-lower needs parameter(s) ['p']"),
+                                              ("thm12-upper", "thm12-upper needs parameter(s) ['p']")])
+    def test_names_that_need_a_parameter(self, text, message):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_bound_spec(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", [None, 0, 0.5, ["vuorinen"], b"vuorinen"], ids=repr)
+    def test_text_that_is_not_a_string(self, text):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_bound_spec(text)
+        assert str(exc.value) == f"bound spec must be a string, got {text!r}"
 
     def test_parse_errors(self):
         for bad in ("bogus", "thm11", "thm11:q=abc", "thm12:t=0.8", "vuorinen:q=1",

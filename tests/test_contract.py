@@ -79,6 +79,7 @@ CALLS = {
     "BoundSpec t": lambda x: BoundSpec(Family.THM12, t=x, p=1.0),
     "BoundSpec p": lambda x: BoundSpec(Family.THM12, t=1.0, p=x),
     "parse_bound_spec": lambda x: eb.parse_bound_spec(f"thm12-lower:p={x}"),
+    "parse_bound_spec text": eb.parse_bound_spec,
     "thm12_lower_threshold": eb.thm12_lower_threshold,
     "thm12_upper_threshold": eb.thm12_upper_threshold,
     "lemma22_function idx": lambda x: eb.lemma22_function(x, 0.5),

@@ -3,6 +3,7 @@ import re
 import sys
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from ellipbounds import (
     DivergenceError,
     DomainError,
+    EllipBoundsError,
+    EllipticValues,
     Modulus,
     agm,
     complete_e,
@@ -25,7 +28,8 @@ from ellipbounds import (
     thm12_lower_threshold,
     toader_mean,
 )
-from ellipbounds.core import _RANGES, _param
+from ellipbounds import core
+from ellipbounds.core import _RANGES, _param, _radius, _row
 from oracles import mp_agm, quad_e, quad_k
 
 HALF_PI = math.pi / 2.0
@@ -105,7 +109,7 @@ class TestCompleteK:
         assert complete_k(0.0) == HALF_PI
 
     def test_divergence_at_one(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=r"^K\(r\) diverges as r -> 1$"):
             complete_k(1.0)
 
     def test_against_quadrature(self):
@@ -146,6 +150,49 @@ class TestCompleteE:
         assert 1.0 <= ke.e_val <= HALF_PI
         assert ke.k_val >= HALF_PI
         assert ke.k_val >= ke.e_val
+
+
+# The point calls run _agm_ke themselves; the row tuple _row gives the reference.
+def _row_e(m):
+    r = _radius(m)
+    return 1.0 if r == 1.0 else _row(r)[3]
+
+
+ROW_PATH = {
+    "complete_e": _row_e,
+    "complete_k": lambda m: _row(_radius(m))[2],
+    "elliptic_ke": lambda m: EllipticValues(*_row(_radius(m))[2:]),
+}
+
+
+class _Sub(float):
+    pass
+
+
+def _bits(call, *args):
+    # the value(s) call returns as hex, which tells -0.0 from 0.0, or its typed error and message
+    try:
+        value = call(*args)
+    except EllipBoundsError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in ((value.k_val, value.e_val) if isinstance(value, EllipticValues) else (value,))]
+
+
+SCALAR_ARGS = [5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 0.0, -0.0, 1.0,
+               Modulus(0.5), Modulus(-0.0), True, _Sub(0.5), numpy.float64(1e-8)]
+
+
+@pytest.mark.parametrize("x", SCALAR_ARGS, ids=repr)
+def test_scalar_calls_are_the_row_path(x, monkeypatch):
+    # bit for bit, sign of zero included: E, K and (K, E) directly, and the
+    # perimeter and the Toader mean through complete_e
+    calls = {"ellipse_perimeter": ellipse_perimeter, "toader_mean": lambda b: toader_mean(1.0, b),
+             "toader_mean swapped": lambda b: toader_mean(b, 1.0)}
+    direct = {name: _bits(getattr(core, name), x) for name in ROW_PATH}
+    through_e = {name: _bits(call, x) for name, call in calls.items()}
+    monkeypatch.setattr(core, "complete_e", ROW_PATH["complete_e"])
+    assert direct == {name: _bits(ref, x) for name, ref in ROW_PATH.items()}
+    assert through_e == {name: _bits(call, x) for name, call in calls.items()}
 
 
 def test_ordering_on_grid():
