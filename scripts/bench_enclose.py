@@ -3,16 +3,18 @@
 checkouts, and print the comparison as JSON.
 
 The cases are the steps of the point-queries calls: sorting the 13
-default candidates into lower and upper (`bounds._split`), building a spec,
-parsing a plain family name, two aliases and two parametric texts, and
-`best_enclosure` itself on the 13 defaults (with the `default_candidates()`
-copy the call makes) and on two specs parsed beforehand, building the
-value records an enclosure or an evaluation returns (`Enclosure`,
-`EllipticValues`) or checks its arguments with (`MeanPair`), and the five
-scalar calls `complete_e`, `complete_k`, `elliptic_ke`, `ellipse_perimeter`
-and `toader_mean`.  Building `BoundSpec(Family.THM12, t=0.9, p=1.5)` is
-the control: it validates and classifies its parameters, reads no radius
-and parses no text, and the change under test should leave it where it is.
+default candidates into lower and upper (`bounds._split`), building a thm12
+and a thm11 spec, parsing a plain family name, two aliases and two
+parametric texts, and `best_enclosure` itself on the 13 defaults (with the
+`default_candidates()` copy the call makes) and on two specs parsed
+beforehand, building the value records an enclosure or an evaluation
+returns (`Enclosure`, `EllipticValues`) or checks its arguments with
+(`MeanPair`), the five scalar calls `complete_e`, `complete_k`,
+`elliptic_ke`, `ellipse_perimeter` and `toader_mean`, and the fixed-constant
+wrappers `vuorinen_lower` and `corollary31`.  `best_enclosure` on an equal,
+rebuilt copy of the 13 defaults is the control: it takes the general path
+(the fused plan is for the default specs themselves), and the change under
+test should leave it where it is.
 
 Both checkouts run as `_ab.py` sets out.  Each case is timed as CALLS
 calls in a loop, one scaled block, so a figure reads as the microseconds per
@@ -44,10 +46,11 @@ def _cases() -> dict:
     defaults = bounds.default_candidates()
     parsed = [bounds.parse_bound_spec("thm12:t=0.51,p=1.3"), bounds.parse_bound_spec("alzer-qiu")]
     values = tuple(spec.evaluate(R) for spec in defaults)
+    rebuilt = [bounds.BoundSpec(spec.family, q=spec.q, t=spec.t, p=spec.p) for spec in defaults]
     return {
         "_split(default_candidates())": lambda: bounds._split(defaults),
-        "BoundSpec(Family.THM12, t=0.9, p=1.5) (control)":
-            lambda: bounds.BoundSpec(bounds.Family.THM12, t=0.9, p=1.5),
+        "BoundSpec(Family.THM12, t=0.9, p=1.5)": lambda: bounds.BoundSpec(bounds.Family.THM12, t=0.9, p=1.5),
+        "BoundSpec(Family.THM11, q=0.05)": lambda: bounds.BoundSpec(bounds.Family.THM11, q=0.05),
         "parse plain name 'vuorinen'": lambda: bounds.parse_bound_spec("vuorinen"),
         "parse alias 'thm11-lower'": lambda: bounds.parse_bound_spec("thm11-lower"),
         "parse alias 'thm11-upper'": lambda: bounds.parse_bound_spec("thm11-upper"),
@@ -56,6 +59,7 @@ def _cases() -> dict:
         "best_enclosure(r, default_candidates())":
             lambda: bounds.best_enclosure(R, bounds.default_candidates()),
         "best_enclosure on two parsed specs": lambda: bounds.best_enclosure(R, parsed),
+        "best_enclosure on rebuilt defaults (control)": lambda: bounds.best_enclosure(R, rebuilt),
         "Enclosure(lo, hi, lo_source, hi_source, values)":
             lambda: bounds.Enclosure(1.25, 1.5, *parsed, values),
         "EllipticValues(k, e)": lambda: core.EllipticValues(1.6857503548125961, 1.4674622093394272),
@@ -65,6 +69,8 @@ def _cases() -> dict:
         "elliptic_ke(r)": lambda: core.elliptic_ke(R),
         "ellipse_perimeter(r)": lambda: core.ellipse_perimeter(R),
         "toader_mean(1, 2)": lambda: core.toader_mean(1.0, 2.0),
+        "vuorinen_lower(r)": lambda: bounds.vuorinen_lower(R),
+        "corollary31(r)": lambda: bounds.corollary31(R),
     }
 
 

@@ -93,6 +93,12 @@ OUTPUTS = [
     *((f"enclose {' '.join(families)}", {}, ["enclose", "--r", "0.5", "--families", *families], "streams")
       for families in (["thm11:q=0.13", "barnard"], ["barnard"], ["vuorinen", "thm11:q=0.13"],
                        ["thm12:t=0.51,p=1.3", "alzer-qiu", "thm11-lower"])),
+    # the default list takes best_enclosure's fused plan, at the ends of the range too; a longer list
+    # that holds the defaults takes the general path
+    *((f"enclose all, r={r}", {}, ["enclose", "--r", r, "--families", "all"], "streams")
+      for r in ("5e-324", "1e-8")),
+    ("enclose all thm11:q=0.05, r=1e-8", {}, ["enclose", "--r", "1e-8", "--families", "all", "thm11:q=0.05"],
+     "streams"),
     # seven chunks of 256 rows: the calling process writes the last one
     ("compare uniform 1700", {},
      ["compare", "--start", "1e-6", "--end", "0.999999", "--points", "1700",

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
+from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import HALF_PI, MeanPair, Modulus, _agm_ke, _complement, _param, _radius, _record
@@ -151,18 +152,18 @@ _COLUMN = {globals()[name]: globals()[name + "_col"] for name in _KERNELS}
 def vuorinen_lower(m: Modulus | float) -> float:
     """Lower bound (pi/2) ((1 + r'^(3/2)) / 2)^(2/3); tends to 2^(-5/3) pi
     as r -> 1."""
-    return BoundSpec(Family.VUORINEN).evaluate(m)
+    return _NAMED["vuorinen"].evaluate(m)
 
 
 def barnard_upper(m: Modulus | float) -> float:
     """Upper bound (pi/2) ((1 + r'^2) / 2)^(1/2), i.e. thm11 at q = 1/2."""
-    return BoundSpec(Family.BARNARD).evaluate(m)
+    return _NAMED["barnard"].evaluate(m)
 
 
 def alzer_qiu_upper(m: Modulus | float) -> float:
     """Upper bound (pi/4) (sqrt(1 - a r^2) + sqrt(1 - b r^2)) with
     a = 1/2 - sqrt(2)/4 and b = 1/2 + sqrt(2)/4."""
-    return BoundSpec(Family.ALZER_QIU).evaluate(m)
+    return _NAMED["alzer-qiu"].evaluate(m)
 
 
 def thm11_bound(m: Modulus | float, q: float) -> float:
@@ -231,6 +232,9 @@ _FAMILIES = {
 # each fixed-constant family's kernel with its arguments bound, resolved once, at import
 _FIXED_AT = {family: partial(row.kernel, *_ARGS[row.kernel](*row.fixed))
              for family, row in _FAMILIES.items() if not row.params}
+# the names of the parameters a spec gives, in field order, keyed by which of q, t and p are not None
+_GIVEN = {(q, t, p): ("q",) * q + ("t",) * t + ("p",) * p
+          for q in (False, True) for t in (False, True) for p in (False, True)}
 
 
 @_record
@@ -256,19 +260,22 @@ class BoundSpec:
         row = _FAMILIES.get(self.family)
         if row is None:
             raise ConfigurationError(f"unknown bound family {self.family!r}")
-        given = ("q",) * (self.q is not None) + ("t",) * (self.t is not None) + ("p",) * (self.p is not None)
+        q, t, p = self.q, self.t, self.p
+        given = _GIVEN[q is not None, t is not None, p is not None]
         if given != row.params:
             foreign = [n for n in given if n not in row.params]
             if foreign:
                 raise ConfigurationError(f"{self.family.value} takes no parameter(s) {foreign}")
             missing = [n for n in row.params if n not in given]
             raise ConfigurationError(f"{self.family.value} needs parameter(s) {missing}")
-        args = tuple(map(_param, given, map(self.__getattribute__, given))) or row.fixed
-        side = row.side
-        if side is None:
+        if given:
+            # given is the row's parameters: (q,) for thm11 or (t, p) for thm12, each checked in its range
+            args = (_param("q", q),) if q is not None else (_param("t", t), _param("p", p))
             lo, hi = row.thresholds(*args[1:])
             side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
-        at = partial(row.kernel, *_ARGS[row.kernel](*args)) if given else _FIXED_AT[self.family]
+            at = partial(row.kernel, *_ARGS[row.kernel](*args))
+        else:
+            args, side, at = row.fixed, row.side, _FIXED_AT[self.family]
         object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_args", args)
         object.__setattr__(self, "_side", side)
@@ -310,7 +317,7 @@ class Enclosure:
 def corollary31(m: Modulus | float) -> Enclosure:
     """The fixed-constant enclosure: lower bound at (t, p) = (lambda*, 2),
     upper bound at (mu*, 1/2)."""
-    return best_enclosure(m, [BoundSpec(Family.COR31_LOWER), BoundSpec(Family.COR31_UPPER)])
+    return best_enclosure(m, [_NAMED["cor31-lower"], _NAMED["cor31-upper"]])
 
 
 def q_mean(a: float, b: float, t: float, p: float) -> float:
@@ -362,11 +369,38 @@ def best_enclosure(m: Modulus | float, candidates: list[BoundSpec]) -> Enclosure
     min of the upper bounds, with the winning spec recorded per side."""
     r = _radius(m, True)
     rc = _complement(r)
+    # the default list itself, its specs checked by identity, takes one fused function; any other list,
+    # equal ones included, the general path
+    if candidates.__class__ is list and len(candidates) == len(_DEFAULTS) and all(map(is_, candidates, _DEFAULTS)):
+        return _enclose_defaults(r, rc)
     lows, ups = _split(candidates)
     values = [spec._at(r, rc) for spec in candidates]
     # the first maximum (minimum) in candidate order, among that side only
     lo, hi = max(lows, key=values.__getitem__), min(ups, key=values.__getitem__)
     return Enclosure(values[lo], values[hi], candidates[lo], candidates[hi], tuple(values))
+
+
+def _enclose_defaults(r: float, rc: float) -> Enclosure:
+    # best_enclosure on the list of _DEFAULTS, compiled from _KERNELS on its first call into one function
+    # that takes this one's place: it evaluates each distinct (kernel, args) once, as _values does, with the
+    # arguments unpacked from the specs' own _at.args, then takes the first maximum of the lower and the
+    # first minimum of the upper values in candidate order (_split(_DEFAULTS)) by the comparisons that
+    # max and min make
+    global _enclose_defaults
+    keys = [(spec._at.func.__name__, spec._at.args) for spec in _DEFAULTS]
+    slot = {key: f"v{j}" for j, key in enumerate(dict.fromkeys(keys))}
+    code = [(f"{', '.join(_KERNELS[name][1])} = {s}_args; " if args else "") + f"{s} = {_KERNELS[name][2]}"
+            for (name, args), s in slot.items()]
+    v = [slot[key] for key in keys]
+    (lo, *lows), (hi, *ups) = _split(_DEFAULTS)
+    code.append(f"lo, hi, lo_at, hi_at = {v[lo]}, {v[hi]}, {lo}, {hi}")
+    code += [f"if {v[i]} > lo: lo, lo_at = {v[i]}, {i}" for i in lows]
+    code += [f"if {v[i]} < hi: hi, hi_at = {v[i]}, {i}" for i in ups]
+    code.append(f"return Enclosure(lo, hi, _DEFAULTS[lo_at], _DEFAULTS[hi_at], ({', '.join(v)}))")
+    namespace = {**globals(), **{f"{s}_args": args for (_, args), s in slot.items()}}
+    exec("def _enclose_defaults(r, rc):\n " + "\n ".join(code), namespace)
+    _enclose_defaults = namespace["_enclose_defaults"]
+    return _enclose_defaults(r, rc)
 
 
 def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:

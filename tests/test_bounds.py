@@ -1,7 +1,10 @@
 import ast
 import copy
 import math
+import os
 import pickle
+import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -222,6 +225,19 @@ class TestCorollary31:
         enc = corollary31(0.5)
         assert enc.lo_source.family is Family.COR31_LOWER
         assert enc.hi_source.family is Family.COR31_UPPER
+        # the prebuilt specs, not a pair built per call
+        assert enc.lo_source is bounds._NAMED["cor31-lower"]
+        assert enc.hi_source is bounds._NAMED["cor31-upper"]
+
+    def test_wrappers_are_the_prebuilt_specs(self):
+        wrappers = {"vuorinen": vuorinen_lower, "barnard": barnard_upper, "alzer-qiu": alzer_qiu_upper}
+        pair = [BoundSpec(Family.COR31_LOWER), BoundSpec(Family.COR31_UPPER)]
+        for r in [5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, Modulus(0.25)]:
+            for name, wrapper in wrappers.items():
+                assert wrapper(r).hex() == BoundSpec(Family(name)).evaluate(r).hex()
+            enc, fresh = corollary31(r), best_enclosure(r, pair)
+            assert (enc.lo.hex(), enc.hi.hex()) == (fresh.lo.hex(), fresh.hi.hex())
+            assert enc == fresh and enc.values == fresh.values
 
     def test_instances_of_thm12(self):
         lo_spec, hi_spec = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.COR31_UPPER)
@@ -508,6 +524,10 @@ class TestBestEnclosure:
         invalid = "thm11:q=0.13 lies on neither valid side of its sharp constants: "
         for r, cands, exc, message in [
             (1.5, [], DomainError, "modulus must lie in [0, 1], got 1.5"),
+            # whatever the candidates are: the fused plan looks at them only after the radius
+            (1.5, 5, DomainError, "modulus must lie in [0, 1], got 1.5"),
+            (0.0, "vuorinen", DomainError, "defined on the open interval (0, 1) only, got r=0.0"),
+            (1.0, default_candidates(), DomainError, "defined on the open interval (0, 1) only, got r=1.0"),
             (0.5, [], ConfigurationError, "no candidate bounds given"),
             (0.5, [gap, bar], InvalidBoundError, invalid),
             (0.5, [gap], InvalidBoundError, invalid),
@@ -526,6 +546,100 @@ class TestBestEnclosure:
                 best_enclosure(r, cands)
             assert type(info.value) is exc and str(info.value).startswith(message)
         assert best_enclosure(0.5, (vuo, bar)) == best_enclosure(0.5, [vuo, bar])
+
+
+# the radii of the fused default plan's checks: the range's ends, and 10^4 seeded radii over the
+# bands that point queries draw from, uniform, log-uniform near 0 and 1 - 10^U near 1
+FUSED_RADII = [5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53]
+_rng = random.Random(2801)
+SEEDED_RADII = ([_rng.uniform(1e-12, 1.0 - 1e-12) for _ in range(3334)]
+                + [10.0 ** _rng.uniform(-300.0, -1.0) for _ in range(3333)]
+                + [1.0 - 10.0 ** _rng.uniform(-15.0, -1.0) for _ in range(3333)])
+
+
+def per_spec_enclosure(r, specs):
+    # the enclosure one spec at a time: each value from evaluate, and the first maximum of the
+    # lower and the first minimum of the upper values in candidate order
+    values = [spec.evaluate(r) for spec in specs]
+    lo = max((i for i, s in enumerate(specs) if s.side is Side.LOWER), key=values.__getitem__)
+    hi = min((i for i, s in enumerate(specs) if s.side is Side.UPPER), key=values.__getitem__)
+    return values[lo], values[hi], specs[lo], specs[hi], values
+
+
+def assert_same_enclosure(enc, expected):
+    lo, hi, lo_source, hi_source, values = expected
+    assert (enc.lo.hex(), enc.hi.hex()) == (lo.hex(), hi.hex())
+    assert [v.hex() for v in enc.values] == [v.hex() for v in values]
+    assert enc.lo_source is lo_source and enc.hi_source is hi_source
+
+
+def rebuilt(specs):
+    return [BoundSpec(s.family, q=s.q, t=s.t, p=s.p) for s in specs]
+
+
+class TestFusedDefaults:
+    # best_enclosure on the default list runs one function compiled from _KERNELS; every other
+    # list takes the general path, and both give the same enclosure
+
+    @pytest.mark.parametrize("radii", [FUSED_RADII, SEEDED_RADII], ids=["ends", "seeded"])
+    def test_matches_the_per_spec_path(self, radii):
+        defaults = default_candidates()
+        for r in radii:
+            expected = per_spec_enclosure(r, defaults)
+            assert_same_enclosure(best_enclosure(r, defaults), expected)
+            # a tuple of the same specs takes the general path
+            assert_same_enclosure(best_enclosure(r, tuple(defaults)), expected)
+
+    def test_each_distinct_kernel_once(self):
+        # cor31-lower and cor31-upper repeat two thm12 specs: 13 values from 11 evaluations
+        best_enclosure(0.5, default_candidates())
+        code = bounds._enclose_defaults.__code__
+        assert sorted(n for n in code.co_varnames if n[0] == "v") == sorted(f"v{j}" for j in range(11))
+        assert len({(s._at.func, s._at.args) for s in bounds._DEFAULTS}) == 11
+
+    def test_compiled_on_first_call(self):
+        # import compiles nothing for the plan; the first call on the defaults does, once
+        check = ("from ellipbounds import bounds as b\n"
+                 "first = b._enclose_defaults\n"
+                 "b.best_enclosure(0.5, [b.BoundSpec(b.Family.VUORINEN), b.BoundSpec(b.Family.BARNARD)])\n"
+                 "assert b._enclose_defaults is first\n"
+                 "enc = b.best_enclosure(0.5, b.default_candidates())\n"
+                 "fused = b._enclose_defaults\n"
+                 "assert fused is not first and b.best_enclosure(0.5, b.default_candidates()) == enc\n"
+                 "assert b._enclose_defaults is fused\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("variant", [
+        lambda d: rebuilt(d),
+        lambda d: d[:5] + rebuilt(d[5:6]) + d[6:],
+        lambda d: d[::-1],
+        lambda d: d[1:] + d[:1],
+        lambda d: d[:3] + [BoundSpec(Family.THM11, q=0.05)] + d[4:],
+        lambda d: d + [BoundSpec(Family.THM11, q=0.05)],
+        lambda d: d[:-1],
+        lambda d: d + d,
+        lambda d: tuple(d),
+        lambda d: tuple(rebuilt(d)),
+        lambda d: type("Specs", (list,), {})(d),
+    ], ids=["rebuilt", "one rebuilt", "reversed", "rotated", "mutated", "extended", "shortened", "doubled",
+            "tuple", "rebuilt tuple", "list subclass"])
+    def test_other_lists_take_the_general_path(self, variant):
+        defaults = default_candidates()
+        specs = variant(defaults)
+        for r in FUSED_RADII:
+            enc = best_enclosure(r, specs)
+            assert_same_enclosure(enc, per_spec_enclosure(r, list(specs)))
+            if tuple(specs) == tuple(defaults):
+                # equal specs give the enclosure of the defaults, with their own specs as sources
+                assert enc == best_enclosure(r, defaults)
+
+    def test_default_candidates_is_a_new_list(self):
+        first, second = default_candidates(), default_candidates()
+        assert first is not second and first == second
+        first.pop()
+        assert len(default_candidates()) == len(bounds._DEFAULTS) == 13
 
 
 PARAMETERLESS = {"vuorinen", "barnard", "alzer-qiu", "cor31-lower", "cor31-upper", "thm11-lower", "thm11-upper"}

@@ -59,7 +59,7 @@ def test_enclose_harness_end_to_end():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert set(result) == ENCLOSE_KEYS
-    assert len(result["us_per_call"]) == 17
+    assert len(result["us_per_call"]) == 21
     for figure in result["us_per_call"].values():
         assert set(figure) == FIGURE_KEYS
         assert figure["first_median"] > 0.0 and figure["first_quartiles"] == [figure["first_median"]] * 3
