@@ -1,5 +1,7 @@
-"""Certified enclosures and sharp bounds for the complete elliptic integral
-of the second kind E(r), the ellipse perimeter, and the Toader mean.
+"""Enclosures and sharp bounds for the complete elliptic integral of the
+second kind E(r), the ellipse perimeter, and the Toader mean.  The enclosures
+are not yet certified: their float endpoints are not widened for rounding, so
+at ulp level they can miss E or cross each other.
 
 The package serves every name in the `__all__` of `core`, `bounds`, `errors`
 and `verify`. `ellipbounds.verify`, the harness that checks the paper's lemmas

@@ -298,10 +298,11 @@ class BoundSpec:
 
 @_record(hidden="values")
 class Enclosure:
-    """A certified interval lo <= E(r) <= hi with the specs that produced
-    each endpoint, and every candidate's value in candidate order.  In exact
-    arithmetic lo <= hi whenever the sources are valid bounds; in floats the
-    two can cross at ulp level where both sides collapse onto E (r near 0)."""
+    """An interval lo <= E(r) <= hi in exact arithmetic, with the specs that
+    produced each endpoint, and every candidate's value in candidate order.
+    It is not yet certified: the float endpoints are not widened for
+    rounding, so at ulp level they can miss E, or cross each other where both
+    sides collapse onto E (r near 0)."""
 
     lo: float
     hi: float

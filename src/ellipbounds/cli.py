@@ -218,8 +218,8 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellipbounds",
-        description="Certified enclosures and sharp bounds for the complete "
-                    "elliptic integral of the second kind.",
+        description="Enclosures (not yet certified against rounding) and sharp "
+                    "bounds for the complete elliptic integral of the second kind.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,5 +1,5 @@
 """Numerical verification machinery: the monotone auxiliary functions behind
-the bound proofs, grid sweeps with endpoint extrapolation, sign-case
+the bound proofs, grid sweeps with right-end extrapolation, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
 A table over ascending radii r in (0, 1) builds each other column on its
@@ -285,7 +285,7 @@ def lemma27_F(m: Modulus | float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Grid sweeps with endpoint extrapolation.
+# Grid sweeps with right-end extrapolation.
 
 class Direction(Enum):
     INCREASING = "increasing"
@@ -298,10 +298,12 @@ class MonotoneReport:
 
     worst_violation is the largest movement against the claimed direction in
     excess of the 1e-12 comparison tolerance (0.0 means the claim held at
-    every consecutive pair).  left_limit/right_limit are the observed
-    endpoint extrapolations; right_limit is +inf for claims with a divergent
-    right end, which are reported rather than extrapolated.  argmax_r is where
-    the worst movement against the claim starts, on a failed sweep (else None).
+    every consecutive pair).  left_limit is the value at the first grid row,
+    r = 1e-6, which lies r^2 = 1e-12 from the r = 0+ limit.  right_limit is
+    the constant of a three-row fit through the last grid rows, or +inf for
+    claims with a divergent right end, which are reported rather than
+    extrapolated.  argmax_r is where the worst movement against the claim
+    starts, on a failed sweep (else None).
     """
 
     name: str
@@ -337,57 +339,44 @@ def grid_open_unit(n: int) -> list[float]:
     return [_GRID_EPS + i * step for i in range(n)]
 
 
-def _solve3(mat: list[list[float]], rhs: list[float]) -> list[float]:
-    # Gaussian elimination with partial pivoting on a 3x3 system.
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda k: abs(a[k][col]))
-        a[col], a[piv] = a[piv], a[col]
-        if a[col][col] == 0.0:
-            raise VerificationError("singular extrapolation system")
-        for k in range(col + 1, 3):
-            factor = a[k][col] / a[col][col]
-            for j in range(col, 4):
-                a[k][j] -= factor * a[col][j]
-    out = [0.0, 0.0, 0.0]
-    for i in (2, 1, 0):
-        s = a[i][3] - sum(a[i][j] * out[j] for j in range(i + 1, 3))
-        out[i] = s / a[i][i]
-    return out
+# the right-end bases {phi1, phi2} of a three-row fit, as functions of (r, K(r))
+_BASES = {
+    # smooth in r'^2
+    "rc2": lambda r, k: ((w := (1.0 - r) * (1.0 + r)), w * w),
+    # limits approached like c / K(r) with an O(r'^2) prefactor drift
+    "invk": lambda r, k: (1.0 / k, (1.0 - r) * (1.0 + r)),
+    # r'^(3/4) (K - E) behaviour: {v, v log v} in v = r'^(3/4)
+    "r34log": lambda r, k: ((v := ((1.0 - r) * (1.0 + r)) ** 0.375), v * math.log(v)),
+}
 
 
-def _extrapolate(model: str, rs: Sequence[float], ks: Sequence[float], fs: list[float]) -> float:
-    # the constant of the fit {1, phi1, phi2} through three rows: the limit
-    ws = [(1.0 - r) * (1.0 + r) for r in rs]
-    if model == "r2":
-        # every auxiliary function is smooth in r^2 at the left end
-        basis = [(x, x * x) for x in (r * r for r in rs)]
-    elif model == "rc2":
-        basis = [(w, w * w) for w in ws]
-    elif model == "invk":
-        # limits approached like c / K(r) with an O(r'^2) prefactor drift:
-        # fit {1, u, r'^2} in u = 1/K
-        basis = [(1.0 / k, w) for k, w in zip(ks, ws)]
-    elif model == "r34log":
-        # r'^(3/4) (K - E) behaviour: basis {1, v, v log v} in v = r'^(3/4)
-        basis = [(v, v * math.log(v)) for v in (w ** 0.375 for w in ws)]
+def _fit_constant(basis: str, rs: Sequence[float], ks: Sequence[float], fs: Sequence[float]) -> float:
+    # the constant of the fit {1, phi1, phi2} through three rows, the limit, by
+    # Cramer's rule: each row's value weighted by the cofactor of the other two
+    # rows' bases, over the sum of the three cofactors
+    (a0, b0), (a1, b1), (a2, b2) = map(_BASES[basis], rs, ks)
+    cofactors = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    det = sum(cofactors)
+    if det == 0.0:
+        raise VerificationError("singular extrapolation system")
     # the fit is linear in fs: past 2^500 (h at p near 2^1020) scale them by
-    # a power of two, so that the elimination cannot overflow to inf - inf
+    # a power of two, so that no weighted value overflows, whatever the basis
     top = max(map(abs, fs))
     k = math.frexp(top)[1] if top > 2.0**500 else 0
-    return math.ldexp(_solve3([[1.0, *phi] for phi in basis], [math.ldexp(f, -k) for f in fs])[0], k)
+    return math.ldexp(sum(math.ldexp(f, -k) * c for f, c in zip(fs, cofactors)) / det, k)
 
 
 @_record
 class _SweepDef:
     """A column function with its direction, claimed limits (numbers, or functions
-    of the parameters that ``params`` validates), right-end model and tolerance."""
+    of the parameters that ``params`` validates), right-end basis (a key of
+    _BASES, None for a divergent right end) and tolerance."""
 
     fn: Callable[..., list[float]]
     direction: Direction
     left: float | Callable[..., float]
     right: float | Callable[..., float]
-    right_model: str | None
+    right_basis: str | None
     tol: float
     params: dict[str, Callable[[float], float]] = {}
 
@@ -423,9 +412,11 @@ def sweep_ids() -> list[str]:
 def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> MonotoneReport:
     """Sweep one named auxiliary function over a uniform grid on
     (1e-6, 1 - 1e-6), recording the worst movement against its claimed
-    direction and Richardson-style endpoint extrapolations from the three
-    grid points nearest each endpoint.  ``params`` is a dict of exactly the
-    function's parameters (``{"p": ...}`` for lemma24_h), or None."""
+    direction, the value at the first grid row as the left limit and, as the
+    right limit, the constant of the fit {1, phi1, phi2} through the last
+    three rows in the function's right-end basis.  ``params`` is a dict of
+    exactly the function's parameters (``{"p": ...}`` for lemma24_h), or
+    None."""
     if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
@@ -443,11 +434,10 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     # a second pass, on failure only: the radius where the worst move starts
     argmax_r = rs[max(range(len(fs) - 1), key=lambda i: a[i] - b[i])] if worst > 0.0 else None
 
-    left = _extrapolate("r2", rs[:3], ks[:3], fs[:3])
     claimed_left, claimed_right = sd.limits(params)
-    right = math.inf if math.isinf(claimed_right) else _extrapolate(sd.right_model, rs[-3:], ks[-3:], fs[-3:])
+    right = math.inf if math.isinf(claimed_right) else _fit_constant(sd.right_basis, rs[-3:], ks[-3:], fs[-3:])
     name = fn if not params else fn + " " + ",".join(f"{k}={v:g}" for k, v in params.items())
-    return MonotoneReport(name=name, direction=sd.direction, left_limit=left, right_limit=right,
+    return MonotoneReport(name=name, direction=sd.direction, left_limit=fs[0], right_limit=right,
                           worst_violation=worst, grid_size=n, claimed_left=claimed_left,
                           claimed_right=claimed_right, argmax_r=argmax_r)
 

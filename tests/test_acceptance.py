@@ -91,7 +91,7 @@ def test_criterion_2_paper_limit_values():
         assert f1 == 1.265625
         assert truncate6(f2) == 1.306122
         assert f1 < 4.0 / math.pi < f2
-        # the quotient function's endpoints via sweep extrapolation
+        # the quotient function's endpoint limits from its sweep
         rep = sweep_monotone("lemma22_7", grid=10_000)
         assert rep.left_error <= 1e-3
         assert rep.right_error <= 1e-3

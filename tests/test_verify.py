@@ -56,15 +56,17 @@ from ellipbounds import (
 from ellipbounds.bounds import _COLUMN
 from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
+    _BASES,
     _CUT_R2,
     _CUT_R4,
+    _P_SAMPLE,
     _SERIES,
     _SWEEPS,
     _Table,
     _falsifier_plan,
+    _fit_constant,
     _grid_table,
     _horner,
-    _solve3,
     grid_open_unit,
     lemma26_case_sample,
     lemma26_expected_case,
@@ -131,7 +133,7 @@ def mp_blocks(r):
                 (K - E) - (E - rc2 * K), E**2 - rc2 * K**2)
 
 
-SERIES_RADII = [1e-6, 1e-4, 0.019, 0.021, 0.049, 0.051, 0.2, 0.7]
+SERIES_RADII = [1e-6, 1e-4, 0.019, 0.02, 0.021, 0.049, 0.05, 0.051, 0.2, 0.7]
 
 
 @pytest.mark.parametrize("r", SERIES_RADII)
@@ -412,10 +414,25 @@ class TestSweepMonotone:
         assert math.isinf(rep.right_limit)
         assert rep.worst_violation == 0.0
 
-    def test_fit_recovers_polynomial(self):
-        coef = _solve3([[1.0, x, x * x] for x in (0.1, 0.2, 0.3)],
-                       [2.0 + 3.0 * x + 4.0 * x * x for x in (0.1, 0.2, 0.3)])
-        assert coef == pytest.approx([2.0, 3.0, 4.0], rel=1e-10)
+    @pytest.mark.parametrize("basis", sorted(_BASES))
+    def test_fit_recovers_constant(self, basis):
+        # L + a phi1 + b phi2 on the last three rows of a sweep grid gives back L
+        t = _grid_table(1000)
+        rs, ks = t.r[-3:], t.k[-3:]
+        fs = [math.pi / 4.0 + 2.0 * a - 3.0 * b for a, b in map(_BASES[basis], rs, ks)]
+        assert _fit_constant(basis, rs, ks, fs) == pytest.approx(math.pi / 4.0, rel=1e-12, abs=0.0)
+
+    def test_fit_through_coincident_rows_is_singular(self):
+        with pytest.raises(VerificationError, match="singular extrapolation system"):
+            _fit_constant("rc2", [0.5] * 3, [1.0] * 3, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("fn,params", [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
+                                           for p in (_P_SAMPLE if sd.params else [None])])
+    def test_left_limit_is_the_first_row(self, fn, params):
+        # every lemma-suite sweep reads its left limit at r = 1e-6, r^2 = 1e-12 from the limit
+        rep = sweep_monotone(fn, 1000, params)
+        assert rep.left_limit == PUBLIC[fn](1e-6, **params)
+        assert rep.left_error <= 1e-12
 
 
 class TestFindCrossover:
@@ -811,7 +828,7 @@ class TestFailureLines:
         monkeypatch.setitem(ellipbounds.verify._SWEEPS, "lemma22_1", _replace(sd, fn=dipped))
         res = run_lemma_suite(1000)[0]
         assert (res.name, res.passed, res.metrics["argmax_r"]) == ("lemma22_1", False, rs[399])
-        assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=0(tol 0.001) "
+        assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=9.81437e-14(tol 0.001) "
                               "right_err=3.11133e-06(tol 0.001) grid=1000")
 
     @pytest.mark.parametrize("flaw, detail", [
