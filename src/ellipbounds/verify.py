@@ -1,5 +1,5 @@
 """Numerical verification machinery: the monotone auxiliary functions behind
-the bound proofs, grid sweeps with right-end extrapolation, sign-case
+the bound proofs, grid sweeps with their endpoint limits, sign-case
 classification, sharpness falsifiers, and crossover search between bounds.
 
 A table over ascending radii r in (0, 1) builds each other column on its
@@ -38,7 +38,7 @@ from fractions import Fraction
 from bisect import bisect_left
 from itertools import chain, islice
 from operator import indexOf, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ._fork import fork
 from .bounds import (
@@ -94,6 +94,8 @@ _SWEEP_LEAST = 1000
 _MONOTONE_TOL = 1e-12
 _VALIDITY_SLACK = 1e-13
 _SIGN_TOL = 5e-15
+# the distance from its claimed limit that a sweep's left or right limit may have
+_LIMIT_TOL = 1e-3
 # the exponents p at which the lemma suite sweeps h and samples the lemma 2.6 cases
 _P_SAMPLE = (0.5, 0.75, 1.0, 1.5, 2.0)
 
@@ -101,9 +103,11 @@ _P_SAMPLE = (0.5, 0.75, 1.0, 1.5, 2.0)
 # absolute accuracy when evaluated directly, combinations with an r^4 leading
 # term lose ~eps/r^4.  The r^2 cutoff must also cover the zone where that
 # noise exceeds the consecutive-grid-point signal of the quartically flat
-# functions (parts (5) and h at p = 2), which pushes it to 0.02.
+# functions (parts (5) and h at p = 2), which pushes it to 0.02.  The r^4
+# cutoff keeps d2 and dd within 1e-10 relative just above it (8.0e-11 at
+# r = 0.082 against 40-digit values; at 0.05 the loss reached 5.5e-10).
 _CUT_R2 = 0.02
-_CUT_R4 = 0.05
+_CUT_R4 = 0.08
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +289,7 @@ def lemma27_F(m: Modulus | float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Grid sweeps with right-end extrapolation.
+# Grid sweeps, with each limit read at an end row of the grid.
 
 class Direction(Enum):
     INCREASING = "increasing"
@@ -300,10 +304,12 @@ class MonotoneReport:
     excess of the 1e-12 comparison tolerance (0.0 means the claim held at
     every consecutive pair).  left_limit is the value at the first grid row,
     r = 1e-6, which lies r^2 = 1e-12 from the r = 0+ limit.  right_limit is
-    the constant of a three-row fit through the last grid rows, or +inf for
-    claims with a divergent right end, which are reported rather than
-    extrapolated.  argmax_r is where the worst movement against the claim
-    starts, on a failed sweep (else None).
+    the value at the last grid row, r = 1 - 1e-6 to within an ulp, less the
+    function's closed-form r'^2 term of approach there (its lead, see
+    _SweepDef), which leaves O(r'^4 K^4) ~ 1e-8 at most; or +inf for claims
+    with a divergent right end, which are reported rather than estimated.
+    argmax_r is where the worst movement against the claim starts, on a
+    failed sweep (else None).
     """
 
     name: str
@@ -339,45 +345,20 @@ def grid_open_unit(n: int) -> list[float]:
     return [_GRID_EPS + i * step for i in range(n)]
 
 
-# the right-end bases {phi1, phi2} of a three-row fit, as functions of (r, K(r))
-_BASES = {
-    # smooth in r'^2
-    "rc2": lambda r, k: ((w := (1.0 - r) * (1.0 + r)), w * w),
-    # limits approached like c / K(r) with an O(r'^2) prefactor drift
-    "invk": lambda r, k: (1.0 / k, (1.0 - r) * (1.0 + r)),
-    # r'^(3/4) (K - E) behaviour: {v, v log v} in v = r'^(3/4)
-    "r34log": lambda r, k: ((v := ((1.0 - r) * (1.0 + r)) ** 0.375), v * math.log(v)),
-}
-
-
-def _fit_constant(basis: str, rs: Sequence[float], ks: Sequence[float], fs: Sequence[float]) -> float:
-    # the constant of the fit {1, phi1, phi2} through three rows, the limit, by
-    # Cramer's rule: each row's value weighted by the cofactor of the other two
-    # rows' bases, over the sum of the three cofactors
-    (a0, b0), (a1, b1), (a2, b2) = map(_BASES[basis], rs, ks)
-    cofactors = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    det = sum(cofactors)
-    if det == 0.0:
-        raise VerificationError("singular extrapolation system")
-    # the fit is linear in fs: past 2^500 (h at p near 2^1020) scale them by
-    # a power of two, so that no weighted value overflows, whatever the basis
-    top = max(map(abs, fs))
-    k = math.frexp(top)[1] if top > 2.0**500 else 0
-    return math.ldexp(sum(math.ldexp(f, -k) * c for f, c in zip(fs, cofactors)) / det, k)
-
-
 @_record
 class _SweepDef:
     """A column function with its direction, claimed limits (numbers, or functions
-    of the parameters that ``params`` validates), right-end basis (a key of
-    _BASES, None for a divergent right end) and tolerance."""
+    of the parameters that ``params`` validates) and lead: its term of order r'^2
+    at the right end, lead(x, K, **params) in x = r'^2 and K, by which it
+    approaches the claimed right limit (None for a divergent right end).  K
+    stands in for L = log(4/r') of the expansions of K and E there (DLMF
+    19.12.1-2), which moves a lead by O(r'^4 K^2)."""
 
     fn: Callable[..., list[float]]
     direction: Direction
     left: float | Callable[..., float]
     right: float | Callable[..., float]
-    right_basis: str | None
-    tol: float
+    lead: Callable[..., float] | None
     params: dict[str, Callable[[float], float]] = {}
 
     def check(self, params: dict) -> dict[str, float]:
@@ -390,18 +371,21 @@ class _SweepDef:
 
 
 _SWEEPS: dict[str, _SweepDef] = {
-    "lemma22_1": _SweepDef(_l22_1, Direction.INCREASING, _PI / 4.0, 1.0, "rc2", 1e-3),
-    "lemma22_2": _SweepDef(_l22_2, Direction.INCREASING, HALF_PI, math.inf, None, 1e-3),
-    "lemma22_3": _SweepDef(_l22_3, Direction.INCREASING, 0.5, 1.0, "invk", 1e-3),
-    "lemma22_4": _SweepDef(_l22_4, Direction.DECREASING, 0.5, 0.0, "invk", 1e-3),
-    "lemma22_5": _SweepDef(_l22_5, Direction.DECREASING, _PI / 4.0, 0.0, "r34log", 1e-2),
-    "lemma22_6": _SweepDef(_l22_6, Direction.DECREASING, 2.0, 1.0, "rc2", 1e-3),
-    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI2 / 2.0, 16.0 - _PI2, "rc2", 1e-3),
-    "lemma23_g": _SweepDef(_l23_g, Direction.INCREASING, 1.5, math.inf, None, 1e-2),
+    "lemma22_1": _SweepDef(_l22_1, Direction.INCREASING, _PI / 4.0, 1.0, lambda x, k: 0.75 * x - 0.5 * x * k),
+    "lemma22_2": _SweepDef(_l22_2, Direction.INCREASING, HALF_PI, math.inf, None),
+    "lemma22_3": _SweepDef(_l22_3, Direction.INCREASING, 0.5, 1.0, lambda x, k: 0.5 * x - (1.0 + 0.75 * x) / k),
+    "lemma22_4": _SweepDef(_l22_4, Direction.DECREASING, 0.5, 0.0, lambda x, k: (1.0 + 0.75 * x) / k - 0.5 * x),
+    "lemma22_5": _SweepDef(_l22_5, Direction.DECREASING, _PI / 4.0, 0.0,
+                           lambda x, k: x**0.375 * (k - 1.0 + x * (0.5 * k - 0.75))),
+    "lemma22_6": _SweepDef(_l22_6, Direction.DECREASING, 2.0, 1.0, lambda x, k: x * k * (k - 2.0)),
+    "lemma22_7": _SweepDef(_l22_7, Direction.INCREASING, _PI2 / 2.0, 16.0 - _PI2, lambda x, k: x * (8.0 - _PI2)),
+    "lemma23_g": _SweepDef(_l23_g, Direction.INCREASING, 1.5, math.inf, None),
+    # x p first, so that no p up to _HUGE / 8 overflows
     "lemma24_h": _SweepDef(_l24_h, Direction.DECREASING, lambda p: 4.0 * p, lambda p: 4.0 * p - 1.0,
-                           "rc2", 1e-3, {"p": functools.partial(_param, "lemma 2.4 exponent p")}),
-    "lemma27_F": _SweepDef(_l27_F, Direction.INCREASING,
-                           _PI2 / 8.0, 8.0 * (_PI2 - 8.0) / _PI2, "rc2", 1e-3),
+                           lambda x, k, p: x * p * (2.0 * k - 4.0) + x,
+                           {"p": functools.partial(_param, "lemma 2.4 exponent p")}),
+    # the r'^2 term of F cancels exactly
+    "lemma27_F": _SweepDef(_l27_F, Direction.INCREASING, _PI2 / 8.0, 8.0 * (_PI2 - 8.0) / _PI2, lambda x, k: 0.0),
 }
 
 
@@ -413,10 +397,9 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     """Sweep one named auxiliary function over a uniform grid on
     (1e-6, 1 - 1e-6), recording the worst movement against its claimed
     direction, the value at the first grid row as the left limit and, as the
-    right limit, the constant of the fit {1, phi1, phi2} through the last
-    three rows in the function's right-end basis.  ``params`` is a dict of
-    exactly the function's parameters (``{"p": ...}`` for lemma24_h), or
-    None."""
+    right limit, the value at the last row less the function's lead there.
+    ``params`` is a dict of exactly the function's parameters (``{"p": ...}``
+    for lemma24_h), or None."""
     if not isinstance(fn, str) or fn not in _SWEEPS:
         raise ConfigurationError(f"unknown sweep function {fn!r}; known: {sorted(_SWEEPS)}")
     sd = _SWEEPS[fn]
@@ -427,7 +410,7 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     params = sd.check(params)
 
     table = _grid_table(n)
-    rs, ks, fs = table.r, table.k, sd.fn(table, **params)
+    rs, fs = table.r, sd.fn(table, **params)
     # movement against the claimed direction between consecutive grid points is a - b
     a, b = (fs, fs[1:]) if sd.direction is Direction.INCREASING else (fs[1:], fs)
     worst = max(0.0, max(chain((0.0,), map(sub, a, b))) - _MONOTONE_TOL)
@@ -435,7 +418,8 @@ def sweep_monotone(fn: str, grid: int = 10_000, params: dict | None = None) -> M
     argmax_r = rs[max(range(len(fs) - 1), key=lambda i: a[i] - b[i])] if worst > 0.0 else None
 
     claimed_left, claimed_right = sd.limits(params)
-    right = math.inf if math.isinf(claimed_right) else _fit_constant(sd.right_basis, rs[-3:], ks[-3:], fs[-3:])
+    rc = table.rc[-1]
+    right = math.inf if sd.lead is None else fs[-1] - sd.lead(rc * rc, table.k[-1], **params)
     name = fn if not params else fn + " " + ",".join(f"{k}={v:g}" for k, v in params.items())
     return MonotoneReport(name=name, direction=sd.direction, left_limit=fs[0], right_limit=right,
                           worst_violation=worst, grid_size=n, claimed_left=claimed_left,
@@ -673,11 +657,11 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     classification sample on one shared 256-point table."""
     out: list[CheckResult] = []
     # every sweep in table order, h once per sampled exponent p
-    plan = [(fn, sd, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
+    plan = [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
             for p in (_P_SAMPLE if sd.params else [None])]
-    for fn, sd, params in plan:
+    for fn, params in plan:
         rep = sweep_monotone(fn, grid_points, params)
-        tol, divergent = sd.tol, rep.divergent_right
+        tol, divergent = _LIMIT_TOL, rep.divergent_right
         ok = rep.worst_violation == 0.0 and rep.left_error <= tol and (divergent or rep.right_error <= tol)
         right = {} if divergent else {"right_err": rep.right_error}
         # where the worst move starts, kept (not printed) when the sweep failed on it

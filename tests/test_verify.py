@@ -8,6 +8,7 @@ import threading
 import time
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy
@@ -56,15 +57,15 @@ from ellipbounds import (
 from ellipbounds.bounds import _COLUMN
 from ellipbounds.core import _row, elliptic_ke
 from ellipbounds.verify import (
-    _BASES,
     _CUT_R2,
     _CUT_R4,
+    _EXPRESSIONS,
+    _LIMIT_TOL,
     _P_SAMPLE,
     _SERIES,
     _SWEEPS,
     _Table,
     _falsifier_plan,
-    _fit_constant,
     _grid_table,
     _horner,
     grid_open_unit,
@@ -76,6 +77,7 @@ from ellipbounds.verify import (
     run_suite,
     sweep_ids,
 )
+import exact_series
 from test_bounds import VALUE_SPECS
 
 PI2 = math.pi * math.pi
@@ -86,12 +88,15 @@ DELTA_1 = 0.013622812986578747
 DELTA_2 = 0.005666838688905607
 
 
-# straddles the series cutoffs 0.02 and 0.05 and reaches both ends of the grid
-AGREEMENT_RADII = [1e-6, 0.019, 0.021, 0.049, 0.051, 0.5, 1 - 1e-6]
+# straddles the series cutoffs 0.02 and 0.08 and reaches both ends of the grid
+AGREEMENT_RADII = [1e-6, 0.019, 0.021, 0.079, 0.081, 0.5, 1 - 1e-6]
 PUBLIC = {**{f"lemma22_{i}": functools.partial(lemma22_function, i) for i in range(1, 8)},
           "lemma23_g": lemma23_g, "lemma24_h": lemma24_h, "lemma27_F": lemma27_F}
 SWEEPS = [(fn, {}) for fn in sweep_ids() if fn != "lemma24_h"]
 SWEEPS += [("lemma24_h", {"p": 0.5}), ("lemma24_h", {"p": 2.0})]
+# every sweep of the lemma suite, h once per sampled exponent p
+SUITE_SWEEPS = [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
+                for p in (_P_SAMPLE if sd.params else [None])]
 
 
 # every column of a table: (r, r', K, E), then the cancelling columns
@@ -133,7 +138,9 @@ def mp_blocks(r):
                 (K - E) - (E - rc2 * K), E**2 - rc2 * K**2)
 
 
-SERIES_RADII = [1e-6, 1e-4, 0.019, 0.02, 0.021, 0.049, 0.05, 0.051, 0.2, 0.7]
+# straddles both cutoffs; 0.0510… and 0.0516… missed 5e-10 while the r^4 cutoff was 0.05
+SERIES_RADII = [1e-6, 1e-4, 0.019, 0.02, 0.021, 0.049, 0.05, 0.051, 0.05104534844948316,
+                0.05160586862287429, 0.079, 0.08, 0.081, 0.2, 0.7]
 
 
 @pytest.mark.parametrize("r", SERIES_RADII)
@@ -145,6 +152,38 @@ def test_series_blocks_match_extended_precision(r):
     mine = [getattr(table, name)[i] for name in _SERIES]
     for got, ref in zip(mine, mp_blocks(r)):
         assert got == pytest.approx(float(ref), rel=5e-10)
+
+
+# each claimed right limit that is finite, exactly
+MP_RIGHT = {"lemma22_1": lambda: 1, "lemma22_3": lambda: 1, "lemma22_4": lambda: 0, "lemma22_5": lambda: 0,
+            "lemma22_6": lambda: 1, "lemma22_7": lambda: 16 - mpmath.pi**2, "lemma24_h": lambda p: 4 * p - 1,
+            "lemma27_F": lambda: 8 * (mpmath.pi**2 - 8) / mpmath.pi**2}
+
+
+def mp_row(fn, rc, **params):
+    # (f, x = r'^2, K) at r' = rc in the working precision: the cancelling
+    # columns' rows, then f's, run unchanged with mpmath in place of the
+    # series namespace's names
+    x = mpmath.mpf(rc) ** 2
+    cols = {"math": SimpleNamespace(sqrt=mpmath.sqrt, log1p=mpmath.log1p), "_PI": mpmath.pi,
+            "_PI2": mpmath.pi**2, "HALF_PI": mpmath.pi / 2, "r": mpmath.sqrt(1 - x), "rc": mpmath.mpf(rc),
+            "k": mpmath.ellipk(1 - x), "e": mpmath.ellipe(1 - x)}
+    for name in _SERIES:
+        cols[name] = exact_series.run(_EXPRESSIONS["_" + name], cols)
+    return exact_series.run(_EXPRESSIONS[_SWEEPS[fn].fn.__name__], cols, **params), x, cols["k"]
+
+
+@pytest.mark.parametrize("fn,params", [(fn, params) for fn, params in SUITE_SWEEPS if _SWEEPS[fn].lead])
+def test_lead_is_the_r_prime_squared_term(fn, params):
+    # f - claimed right limit - lead(x, K) is O(r'^4 K^4): a wrong coefficient in
+    # a lead leaves O(r'^2 K), which 2 r'^4 K^4 does not hold from r' = 1e-5 down
+    sd = _SWEEPS[fn]
+    with mpmath.workdps(80):
+        claimed = MP_RIGHT[fn](**params)
+        assert sd.limits(params)[1] == pytest.approx(float(claimed), rel=1e-15)
+        for rc in (1e-3, 1e-5, 1e-7, 1e-9):
+            f, x, k = mp_row(fn, rc, **params)
+            assert abs(f - claimed - sd.lead(x, k, **params)) <= 2 * x * x * k**4, rc
 
 
 def _ulps(x):
@@ -230,10 +269,10 @@ class TestLemma24:
 
     @pytest.mark.parametrize("grid", [1000, 10_000])
     def test_right_limit_at_huge_p(self, grid):
-        # h ~ 4p ~ 2^1022: the endpoint fit must not overflow to inf - inf
+        # h ~ 4p ~ 2^1022: the lead multiplies x = r'^2 into p first, so it stays finite
         rep = sweep_monotone("lemma24_h", grid=grid, params={"p": 2.0**1020})
         assert math.isfinite(rep.right_limit)
-        assert rep.right_error <= _SWEEPS["lemma24_h"].tol * rep.claimed_right
+        assert rep.right_error <= _LIMIT_TOL * rep.claimed_right
 
     def test_p_domain(self):
         with pytest.raises(DomainError):
@@ -414,25 +453,23 @@ class TestSweepMonotone:
         assert math.isinf(rep.right_limit)
         assert rep.worst_violation == 0.0
 
-    @pytest.mark.parametrize("basis", sorted(_BASES))
-    def test_fit_recovers_constant(self, basis):
-        # L + a phi1 + b phi2 on the last three rows of a sweep grid gives back L
-        t = _grid_table(1000)
-        rs, ks = t.r[-3:], t.k[-3:]
-        fs = [math.pi / 4.0 + 2.0 * a - 3.0 * b for a, b in map(_BASES[basis], rs, ks)]
-        assert _fit_constant(basis, rs, ks, fs) == pytest.approx(math.pi / 4.0, rel=1e-12, abs=0.0)
-
-    def test_fit_through_coincident_rows_is_singular(self):
-        with pytest.raises(VerificationError, match="singular extrapolation system"):
-            _fit_constant("rc2", [0.5] * 3, [1.0] * 3, [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("fn,params", [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
-                                           for p in (_P_SAMPLE if sd.params else [None])])
+    @pytest.mark.parametrize("fn,params", SUITE_SWEEPS)
     def test_left_limit_is_the_first_row(self, fn, params):
         # every lemma-suite sweep reads its left limit at r = 1e-6, r^2 = 1e-12 from the limit
         rep = sweep_monotone(fn, 1000, params)
         assert rep.left_limit == PUBLIC[fn](1e-6, **params)
         assert rep.left_error <= 1e-12
+
+    @pytest.mark.parametrize("fn,params", SUITE_SWEEPS)
+    def test_right_limit_is_the_last_row_less_its_lead(self, fn, params):
+        # the last grid row lies within an ulp of 1 - 1e-6 (0.9999990000000001 at 1000 points)
+        r, rc, k, _ = _row(grid_open_unit(1000)[-1])
+        rep, lead = sweep_monotone(fn, 1000, params), _SWEEPS[fn].lead
+        if lead is None:
+            assert rep.divergent_right and rep.right_limit == math.inf
+        else:
+            assert rep.right_limit == PUBLIC[fn](r, **params) - lead(rc * rc, k, **params)
+            assert rep.right_error <= 2e-8
 
 
 class TestFindCrossover:
@@ -792,7 +829,7 @@ class TestFailureLines:
     # exact detail line the suites print for it
     @pytest.fixture
     def flawed_sweeps(self, monkeypatch):
-        # exact left limits, a nan right extrapolation, and a worst violation
+        # exact left limits, a nan right limit, and a worst violation
         # of 2.5e-7 on lemma22_2 (whose right end diverges)
         sweep = ellipbounds.verify.sweep_monotone
 
@@ -829,7 +866,7 @@ class TestFailureLines:
         res = run_lemma_suite(1000)[0]
         assert (res.name, res.passed, res.metrics["argmax_r"]) == ("lemma22_1", False, rs[399])
         assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=9.81437e-14(tol 0.001) "
-                              "right_err=3.11133e-06(tol 0.001) grid=1000")
+                              "right_err=1.12212e-11(tol 0.001) grid=1000")
 
     @pytest.mark.parametrize("flaw, detail", [
         ({"case_id": SignCase.ALL_POSITIVE},
