@@ -18,12 +18,23 @@ for several suites may fork one child for the sharpness and remarks suites.
 A wrapper cannot see into that child, so the sections time the same call
 on its one-process path, with `_fork.cpus` pinning the checkout to one
 usable CPU.  For `all` there is also FAN_OUT, from passes with
-`run_suite` and the lemma suite time-stamped: the build of the main table,
-the pipe and the fork before the lemma suite; the lemma suite; and the
-child's CPU time, user and system, which the child spends on the sharpness
-and remarks suites and sending their results (0 where the checkout does
-not fork).  The child's CPU time is the work it does, where a wall-clock
-wait for it would also measure how it was scheduled.
+`run_suite` and the lemma suite time-stamped, `lemma26_classify` timed and
+the caller's reads of the child's frames timed through `verify.fork`:
+  before the fork    from the entry of `run_suite` to the start of the lemma
+                     suite: the main table's r and r', the pipe and the fork
+                     (and K and E where the caller builds them before it)
+  classification     the lemma suite's sign classifications, which run while
+                     the child builds K and E where the checkout splits so
+  wait for K and E   the caller's reads of a frame during the lemma suite:
+                     the wait for the child's K and E (0 where the caller
+                     builds them itself)
+  rest of the lemma suite  the lemma suite less the two above
+  child CPU          the child's CPU time, user and system: K and E where it
+                     builds them, the sharpness and remarks suites and
+                     sending their results (0 where the checkout does not
+                     fork)
+The child's CPU time is the work it does, where a wall-clock wait for it
+would also measure how it was scheduled.
 
 Both checkouts run as `_ab.py` sets out.  One interpreter runs one
 unmeasured pass, then PASSES passes with no wrapper (the pass totals),
@@ -48,7 +59,7 @@ import _ab
 
 NAMES = ["tables", "cancelling columns", "sweeps", "classification", "validity", "falsifiers",
          "remarks", "other"]
-FAN_OUT = ["table build and fork", "lemma suite", "child CPU"]
+FAN_OUT = ["before the fork", "classification", "wait for K and E", "rest of the lemma suite", "child CPU"]
 
 
 def _column(table, name: str) -> str:
@@ -83,6 +94,9 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     fan_out: dict[str, float] = {}
     if suite == "all":
         stamps: dict[str, float] = {}
+        # (start, duration) of each lemma26_classify call and of each read of a frame in the caller
+        classified: list[tuple[float, float]] = []
+        reads: list[tuple[float, float]] = []
 
         def stamped(name, fn):
             def timed(*args):
@@ -93,16 +107,40 @@ def _child(suite: str, grid: int, passes: int) -> dict:
                     stamps[name + " end"] = time.perf_counter()
             return timed
 
+        def logged(log, fn):
+            def timed(*args):
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args)
+                finally:
+                    log.append((t0, time.perf_counter() - t0))
+            return timed
+
+        def fork(child, caller, alone, what):
+            return originals[2](child, lambda recv: caller(logged(reads, recv)), alone, what)
+
+        def within_lemmas(log) -> float:
+            return sum(dt for t0, dt in log if stamps["lemmas"] <= t0 <= stamps["lemmas end"])
+
         def fanned() -> dict[str, float]:
+            classified.clear()
+            reads.clear()
             cpu = _ab.children_cpu()
             one_pass()
-            return dict(zip(FAN_OUT, (stamps["lemmas"] - stamps["fan"], stamps["lemmas end"] - stamps["lemmas"],
-                                      _ab.children_cpu() - cpu)))
+            lemmas, sorting, waiting = (stamps["lemmas end"] - stamps["lemmas"], within_lemmas(classified),
+                                        within_lemmas(reads))
+            return dict(zip(FAN_OUT, (stamps["lemmas"] - stamps["fan"], sorting, waiting,
+                                      lemmas - sorting - waiting, _ab.children_cpu() - cpu)))
 
-        originals = verify.run_suite, verify.run_lemma_suite
-        verify.run_suite, verify.run_lemma_suite = stamped("fan", originals[0]), stamped("lemmas", originals[1])
+        names = ("run_suite", "run_lemma_suite", "fork", "lemma26_classify")
+        originals = [getattr(verify, name) for name in names]
+        wrapped = [stamped("fan", originals[0]), stamped("lemmas", originals[1]), fork,
+                   logged(classified, originals[3])]
+        for name, fn in zip(names, wrapped):
+            setattr(verify, name, fn)
         fan_out = _ab.timed(passes, fanned)
-        verify.run_suite, verify.run_lemma_suite = originals
+        for name, fn in zip(names, originals):
+            setattr(verify, name, fn)
 
     stack: list[str] = ["other"]
     spent: dict[str, float] = {}

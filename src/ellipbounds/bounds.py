@@ -235,6 +235,8 @@ _FIXED_AT = {family: partial(row.kernel, *_ARGS[row.kernel](*row.fixed))
 # the names of the parameters a spec gives, in field order, keyed by which of q, t and p are not None
 _GIVEN = {(q, t, p): ("q",) * q + ("t",) * t + ("p",) * p
           for q in (False, True) for t in (False, True) for p in (False, True)}
+# the sides as globals for the per-call paths, where a global read costs a tenth of an enum attribute's
+_LOWER, _UPPER, _INVALID = Side
 
 
 @_record
@@ -272,7 +274,7 @@ class BoundSpec:
             # given is the row's parameters: (q,) for thm11 or (t, p) for thm12, each checked in its range
             args = (_param("q", q),) if q is not None else (_param("t", t), _param("p", p))
             lo, hi = row.thresholds(*args[1:])
-            side = Side.LOWER if args[0] <= lo else Side.UPPER if args[0] >= hi else Side.INVALID
+            side = _LOWER if args[0] <= lo else _UPPER if args[0] >= hi else _INVALID
             at = partial(row.kernel, *_ARGS[row.kernel](*args))
         else:
             args, side, at = row.fixed, row.side, _FIXED_AT[self.family]
@@ -411,7 +413,7 @@ def _split(candidates: list[BoundSpec]) -> tuple[list[int], ...]:
         raise ConfigurationError(f"candidates must be a list or tuple of BoundSpec, got {candidates!r}")
     if not candidates:
         raise ConfigurationError("no candidate bounds given")
-    lower, invalid = Side.LOWER, Side.INVALID
+    lower, invalid = _LOWER, _INVALID
     split = lows, ups = [], []
     for i, spec in enumerate(candidates):
         try:
@@ -432,17 +434,20 @@ def _columns(rs: list[float], candidates: list[BoundSpec], split: tuple[list[int
     # best_enclosure's rows as columns r, E, each candidate's value, lo and hi,
     # for radii already known to lie in (0, 1) and split = _split(candidates)
     rcs = list(map(_complement, rs))
-    cols = _values(candidates, rs, rcs)
+    cols = _values(candidates, rs, rcs, {})
     # the first column repeated keeps max and min at two arguments or more
     lows, ups = ([cols[i] for i in (*idx, idx[0])] for idx in split)
     return [rs, [e for _, e in map(_agm_ke, rs, rcs)], *cols, list(map(max, *lows)), list(map(min, *ups))]
 
 
-def _values(specs: Iterable[BoundSpec], rs: Sequence[float], rcs: Sequence[float]) -> list[list[float]]:
-    # each spec's column kernel at each (r, r'), run once per distinct (kernel, args): cor31-lower
-    # is thm12 at (t1*(2), 2) bit for bit, and cor31-upper thm12 at (t2*(1/2), 1/2)
+def _values(specs: Iterable[BoundSpec], rs: Sequence[float], rcs: Sequence[float], found: dict) -> list[list[float]]:
+    # each spec's column kernel at each (r, r'), run only for a (kernel, args) not yet in found, which keeps
+    # each column under that key: cor31-lower is thm12 at (t1*(2), 2) bit for bit, and cor31-upper thm12 at
+    # (t2*(1/2), 1/2)
     keys = [(spec._at.func, spec._at.args) for spec in specs]
-    found = {key: _COLUMN[key[0]](*key[1], rs, rcs) for key in dict.fromkeys(keys)}
+    for key in keys:
+        if key not in found:
+            found[key] = _COLUMN[key[0]](*key[1], rs, rcs)
     return [found[key] for key in keys]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -215,6 +216,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # Parser assembly and dispatch.
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellipbounds",

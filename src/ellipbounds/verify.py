@@ -14,17 +14,18 @@ bounds._KERNELS, whose kernels read fixed (r, r') columns and need a scalar
 twin that these rows do not.  The grid tables of the last three sizes sit in
 one cache that run_suite empties on entry.
 
-run_suite("all") may use a second process: on a host with two or more usable
-CPUs it builds the main grid table's r', K and E columns, forks one child for
-the sharpness and remarks suites and runs the lemma suite itself.  Results,
-printed output and errors are those of the one-process run.
+run_suite("all") may use a second process: with two or more usable CPUs it
+builds the main grid's r' and forks one child, which builds that grid's K and
+E, sends them as its first frame and runs the sharpness and remarks suites,
+while the caller runs the lemma suite, sign classifications first, and takes
+K and E from that frame.  A table keeps the default specs' bound columns,
+which remarks 4.1 and 4.5 reread.  Results and errors are as in one process.
 
 Near r = 0 these combinations cancel catastrophically (the first three vanish
 like r^2, the last two like r^4), so each such column holds its Maclaurin
 series in the rows below its cutoff, split off by bisection on the ascending
 radii, and the direct formula at and above it.  The coefficients are
-generated exactly from the hypergeometric series of K and E when the module
-executes.
+written as exact quotients of int literals.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import marshal
 import math
 from array import array
 from enum import Enum
-from fractions import Fraction
 from bisect import bisect_left
 from itertools import chain, islice
 from operator import indexOf, sub
@@ -111,33 +111,21 @@ _CUT_R4 = 0.08
 
 
 # --------------------------------------------------------------------------
-# Maclaurin coefficients, exact, of the five cancelling combinations in
-# x = r^2, in units of pi/2 ((pi/2)^2 for E^2 - r'^2 K^2).
-
-def _build_series(nmax: int) -> list[list[float]]:
-    c = [Fraction(1)]
-    for n in range(1, nmax + 1):
-        c.append(c[-1] * Fraction((2 * n - 1) ** 2, (2 * n) ** 2))
-    e = [cn / (1 - 2 * n) for n, cn in enumerate(c)]
-    zero = Fraction(0)
-    kme = [zero] + [c[n] * Fraction(2 * n, 2 * n - 1) for n in range(1, nmax + 1)]
-    emr = [zero] + [c[n - 1] - c[n] * Fraction(2 * n, 2 * n - 1) for n in range(1, nmax + 1)]
-    wmh = [zero] + [e[n] + emr[n] for n in range(1, nmax + 1)]
-    d2 = [kme[n] - emr[n] for n in range(nmax + 1)]
-
-    def square(u: list[Fraction]) -> list[Fraction]:
-        return [sum(u[i] * u[n - i] for i in range(n + 1)) for n in range(nmax + 1)]
-
-    se2, sk2 = square(e), square(c)
-    dd = [se2[n] - sk2[n] + (sk2[n - 1] if n else zero) for n in range(nmax + 1)]
-    return [[float(x) for x in tbl] for tbl in (kme, emr, wmh, d2, dd)]
-
-
-# (cutoff, unit, coefficients) of each cancelling column: K - E, E - r'^2 K and 2E - r'^2 K - pi/2
-# vanish like r^2, (K - E) - (E - r'^2 K) and E^2 - r'^2 K^2 like r^4
-_SERIES = dict(zip(("kme", "emr", "wmh", "d2", "dd"),
-                   zip((_CUT_R2, _CUT_R2, _CUT_R2, _CUT_R4, _CUT_R4),
-                       (HALF_PI, HALF_PI, HALF_PI, HALF_PI, HALF_PI * HALF_PI), _build_series(8))))
+# (cutoff, unit, Maclaurin coefficients in x = r^2) of each cancelling column: K - E, E - r'^2 K and
+# 2E - r'^2 K - pi/2 vanish like r^2, (K - E) - (E - r'^2 K) and E^2 - r'^2 K^2 like r^4.  Each
+# coefficient is exact: n / d of two int literals, d a power of two.
+_SERIES = {
+    "kme": (_CUT_R2, HALF_PI, [0 / 1, 1 / 2, 3 / 16, 15 / 128, 175 / 2048, 2205 / 32768, 14553 / 262144,
+                               99099 / 2097152, 2760615 / 67108864]),
+    "emr": (_CUT_R2, HALF_PI, [0 / 1, 1 / 2, 1 / 16, 3 / 128, 25 / 2048, 245 / 32768, 1323 / 262144,
+                               7623 / 2097152, 184041 / 67108864]),
+    "wmh": (_CUT_R2, HALF_PI, [0 / 1, 1 / 4, 1 / 64, 1 / 256, 25 / 16384, 49 / 65536, 441 / 1048576,
+                               1089 / 4194304, 184041 / 1073741824]),
+    "d2": (_CUT_R4, HALF_PI, [0 / 1, 0 / 1, 1 / 8, 3 / 32, 75 / 1024, 245 / 4096, 6615 / 131072,
+                              22869 / 524288, 1288287 / 33554432]),
+    "dd": (_CUT_R4, HALF_PI * HALF_PI, [0 / 1, 0 / 1, 1 / 8, 1 / 16, 39 / 1024, 53 / 2048, 1235 / 65536,
+                                        1887 / 131072, 382291 / 33554432]),
+}
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -189,21 +177,29 @@ exec("".join(f"def {name}(t, {params}):\n"
 
 class _Table:
     """Columns over ascending radii r in (0, 1), each an array("d"); the others,
-    rc (r'), k and e (K and E, one AGM run per radius) and the cancelling
-    columns named in _SERIES, are built on first read and kept in vars(self)."""
+    rc (r'), k and e (K and E, one AGM run per radius, or the bytes that the
+    slot frame, a forked child's recv, returns) and the cancelling columns
+    named in _SERIES, are built on first read and kept in vars(self).  The
+    slot bounds holds the bound columns that _bound_columns keeps."""
+
+    __slots__ = ("__dict__", "bounds", "frame")
 
     def __init__(self, rs: Iterable[float]) -> None:
-        self.r = array("d", rs)
+        self.r, self.bounds, self.frame = array("d", rs), {}, None
 
     def __getattr__(self, name: str) -> array:
         # only for a column not built yet; no self.__dict__ read, which slows CPython 3.11's later reads
         if name == "rc":
             self.rc = col = array("d", map(_complement, self.r))
         elif name == "k" or name == "e":
-            ks, es = array("d"), array("d")
-            for k, e in map(_agm_ke, self.r, self.rc):
-                ks.append(k)
-                es.append(e)
+            if self.frame is not None:  # K's bytes, then E's
+                ke = array("d", self.frame())
+                ks, es, self.frame = ke[:len(self.r)], ke[len(self.r):], None
+            else:
+                ks, es = array("d"), array("d")
+                for k, e in map(_agm_ke, self.r, self.rc):
+                    ks.append(k)
+                    es.append(e)
             self.k, self.e = ks, es
             col = ks if name == "k" else es
         elif name in _SERIES:
@@ -546,9 +542,19 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
+# the (kernel, args) of the default specs: a table keeps their columns, at most 11, for its later scans
+_KEPT = frozenset((spec._at.func, spec._at.args) for spec in default_candidates())
+
+
+def _bound_columns(t: _Table, *specs: BoundSpec) -> list[list[float]]:
+    # each spec's column over the table, computed once per table where every spec is a default one
+    kept = _KEPT.issuperset((spec._at.func, spec._at.args) for spec in specs)
+    return _values(specs, t.r, t.rc, t.bounds if kept else {})
+
+
 def _difference(a: BoundSpec, b: BoundSpec, t: _Table) -> Iterator[float]:
     # a - b at each radius of the table, from both column kernels, with no list of differences
-    return map(sub, *_values((a, b), t.r, t.rc))
+    return map(sub, *_bound_columns(t, a, b))
 
 
 def _closer_to_e(a: BoundSpec, b: BoundSpec, r: float) -> BoundSpec:
@@ -604,7 +610,7 @@ def _violation(at: Callable[[float, float], float], lower: bool, r: float) -> fl
 def _worst_violation(spec: BoundSpec, side: Side, t: _Table) -> tuple[float, int]:
     # the largest violation of spec claimed as a side bound (bound - E for a lower bound,
     # E - bound for an upper one) on the table, and its first row, with no list of violations
-    (bs,) = _values((spec,), t.r, t.rc)
+    (bs,) = _bound_columns(t, spec)
     a, b = (bs, t.e) if side is Side.LOWER else (t.e, bs)
     worst = max(map(sub, a, b))
     return worst, indexOf(map(sub, a, b), worst)
@@ -654,7 +660,17 @@ _SWEEP = {True: _LEFT + "right=divergent grid={grid}",
 def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Monotonicity sweeps for every auxiliary function on one shared grid
     table, the two-sided threshold inequality on a p-grid, and the sign-case
-    classification sample on one shared 256-point table."""
+    classification sample on one shared 256-point table, in that order; the
+    classifications run first, while a forked run_suite builds K and E."""
+    sample = lemma26_case_sample()
+    bad = []
+    for u, p, expected in sample:
+        rep = lemma26_classify(u, p, 256)
+        if rep.case_id is not expected:
+            bad.append((u, p, expected.value, rep.case_id.value))
+        elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
+            bad.append((u, p, "eta in (0,1)", rep.eta))
+
     out: list[CheckResult] = []
     # every sweep in table order, h once per sampled exponent p
     plan = [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
@@ -675,15 +691,6 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     out.append(_check("lemma25 threshold gaps", lo > 0.0 and hi > 0.0,
                       "min lower_margin={lower_margin:.6g} min upper_margin={upper_margin:.6g} "
                       "over {p_values} p-values", lower_margin=lo, upper_margin=hi, p_values=len(margins)))
-
-    sample = lemma26_case_sample()
-    bad = []
-    for u, p, expected in sample:
-        rep = lemma26_classify(u, p, 256)
-        if rep.case_id is not expected:
-            bad.append((u, p, expected.value, rep.case_id.value))
-        elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
-            bad.append((u, p, "eta in (0,1)", rep.eta))
     mismatch = {"first_mismatch": bad[0]} if bad else {}
     out.append(_check("lemma26 sign cases", not bad,
                       "{as_predicted}/{samples} (u,p) samples classified as predicted"
@@ -782,11 +789,13 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
 
     Several suites run in two processes where that can pay: os.fork exists,
     two or more CPUs are usable and only the main thread is alive.  Then this
-    process checks the grid as the lemma suite does and builds the main grid's
-    r', K and E columns, forks one child for the other suites and runs the
-    lemma suite, and the child is reaped before the call returns or raises;
-    otherwise, or if no child starts, all run here, one after another.  Either
-    way the results are the same, and so is the error raised: that of the
+    process checks the grid as the lemma suite does, builds the main grid's r'
+    and forks one child, which builds its K and E, sends them as its first
+    frame and runs the other suites, while this process runs the lemma suite,
+    whose first read of K or E takes that frame.  The child is reaped before
+    the call returns or raises; otherwise, or if no child starts, all run here.
+    Either way remarks 4.1 and 4.5 reread the validity checks' main-grid bound
+    columns, the results are the same, and so is the error raised: that of the
     first failing suite in suite order.  A child that ends without a result
     raises EllipBoundsError."""
     if name not in SUITE_NAMES:
@@ -800,10 +809,22 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
 
     if len(runs) == 1:
         return alone()
-    # before the fork, so both processes share it; a grid the lemma suite rejects raises its error here
-    _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have")).e
+    # r' before the fork, so both processes share it; a grid the lemma suite rejects raises its error here
+    table = _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have"))
+    table.rc
 
-    return fork(lambda send: send(marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
-                                                 for run in runs[1:] for res in run(grid_points)])),
-                lambda recv: runs[0](grid_points) + [CheckResult(*t) for t in marshal.loads(recv())],
-                alone, "sharpness and remarks")
+    def child(send: Callable[[bytes], None]) -> None:
+        send(table.k.tobytes() + table.e.tobytes())
+        send(marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
+                            for run in runs[1:] for res in run(grid_points)]))
+
+    def caller(recv: Callable[[], bytes]) -> list[CheckResult]:
+        table.frame = recv
+        try:
+            lemmas = runs[0](grid_points)
+            table.e  # the frame of K and E precedes the results, if the lemma suite did not read it
+        finally:
+            table.frame = None
+        return lemmas + [CheckResult(*t) for t in marshal.loads(recv())]
+
+    return fork(child, caller, alone, "sharpness and remarks")

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -435,16 +436,28 @@ KERNEL_SOURCES = {f"{name}:{arg}" if arg else name: source
 # a verify parameter or argument named as a column would shadow that column in the compiled comprehension
 assert not {n for params, args, _ in verify._EXPRESSIONS.values()
             for n in [*params.split(", "), *args]} & {*verify._COLUMNS}
+# the coefficient list of each verify._SERIES row, as the source writes it
+_VERIFY_SOURCE = Path(verify.__file__).read_text()
+KERNEL_SOURCES.update({f"series:{key.value}": ast.get_source_segment(_VERIFY_SOURCE, row.elts[2])
+                       for node in ast.parse(_VERIFY_SOURCE).body if isinstance(node, ast.Assign)
+                       and [t.id for t in node.targets] == ["_SERIES"]
+                       for key, row in zip(node.value.keys, node.value.values)})
+assert [n for n in KERNEL_SOURCES if n.startswith("series:")] == [f"series:{n}" for n in verify._SERIES]
 
 
 @pytest.mark.parametrize("source", KERNEL_SOURCES.values(), ids=KERNEL_SOURCES.keys())
 def test_kernel_literals_are_exact(source):
     # every value the table's expressions see is a name or a literal equal to its binary value, and
-    # no operation on literals alone rounds before an arithmetic other than the float one could see it
+    # no operation on literals alone rounds before an arithmetic other than the float one could see it:
+    # the only such operation is a series coefficient n / d of two int literals, exact in binary
     for node in ast.walk(ast.parse(source, mode="eval")):
         if isinstance(node, (ast.BinOp, ast.UnaryOp)):
             operands = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
-            assert not all(isinstance(o, ast.Constant) for o in operands), ast.get_source_segment(source, node)
+            if all(isinstance(o, ast.Constant) for o in operands):
+                text = ast.get_source_segment(source, node)
+                assert isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div), text
+                n, d = node.left.value, node.right.value
+                assert type(n) is int and type(d) is int and Fraction(n, d) == Fraction(n / d), text
         if isinstance(node, ast.Constant):
             text = ast.get_source_segment(source, node)
             assert Fraction(text) == Fraction(node.value), text

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -757,3 +758,37 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(states)
 """, env={"ELLIP_GRID_POINTS": "1000"})
         assert out == "[True, True, True, True, True]\n"
+
+    def test_verify_loads_neither_fractions_nor_decimal(self):
+        # the series coefficients are int quotients written in the source, not built in Fraction
+        out = run_fresh("""
+import sys
+from ellipbounds.verify import run_suite
+print("fractions" in sys.modules, "decimal" in sys.modules)
+""")
+        assert out == "False False\n"
+
+
+# a verify run, a usage error and an enclosure, each with the exit code it gives
+PARSED_ONCE = [["verify", "--suite", "remarks"], ["verify", "--suite", "everything"],
+               ["enclose", "--r", "0.5", "--families", "all"]]
+
+
+def test_one_parser_serves_every_call():
+    # one process builds the parser once and runs the three commands in turn; each gives the
+    # exit code and output of its own fresh interpreter
+    code = """
+import contextlib, io, json
+import ellipbounds.cli
+runs = []
+for argv in {argvs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([ellipbounds.cli.main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps([runs, ellipbounds.cli._build_parser.cache_info().misses]))
+"""
+    env = {"ELLIP_GRID_POINTS": "1000"}
+    runs, built = json.loads(run_fresh(code.format(argvs=PARSED_ONCE), env=env))
+    assert built == 1
+    assert runs == [json.loads(run_fresh(code.format(argvs=[argv]), env=env))[0][0] for argv in PARSED_ONCE]
+    assert [code for code, _, _ in runs] == [0, 2, 0]

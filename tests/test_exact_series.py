@@ -52,13 +52,13 @@ def test_log_ratio_vanishes_at_zero(p):
 
 @pytest.mark.parametrize("name", _SERIES)
 def test_series_coefficients_are_the_rows(name):
-    # the column's value is (pi/2)^g times a series in x = r^2 whose first coefficients, rounded,
-    # are the ones the table evaluates below the cutoff
+    # the column's value is (pi/2)^g times a series in x = r^2 whose first coefficients are, exactly,
+    # the ones the table evaluates below the cutoff
     _, unit, coeffs = _SERIES[name]
     g, s = COLUMNS[name].one_grade()
     assert unit == math.prod([HALF_PI] * g)
     assert s.prec >= 2 * len(coeffs) and all(n % 2 == 0 for n in s.c)
-    assert [float(s.c.get(2 * n, Fraction(0)) * 2**g) for n in range(len(coeffs))] == coeffs
+    assert [s.c.get(2 * n, Fraction(0)) * 2**g for n in range(len(coeffs))] == list(map(Fraction, coeffs))
 
 
 def test_namespace_refuses_what_it_does_not_cover():

@@ -67,7 +67,7 @@ def test_enclose_harness_end_to_end():
 
 @pytest.mark.parametrize("script, args, settings, fan_out", [
     ("bench_verify.py", ["--grid", "1000"], {"suite", "grid"},
-     ["table build and fork", "lemma suite", "child CPU"]),
+     ["before the fork", "classification", "wait for K and E", "rest of the lemma suite", "child CPU"]),
     ("bench_compare.py", ["--points", "800"], {"seed", "rows"}, ["fork", "child CPU", "reap"]),
 ], ids=["verify", "compare"])
 def test_section_harness_end_to_end(script, args, settings, fan_out):

@@ -1095,3 +1095,59 @@ class TestFanOut:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "42 False\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out needs os.fork")
+class TestSplitTableBuild:
+    # run_suite("all") forks right after r and r': the child builds the main grid's K and E and sends
+    # them as its first frame, and in both processes the scans share the main grid's bound columns
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_main_grid_bound_column_is_built_once(self, monkeypatch, cpus):
+        # one counter per distinct (kernel, args) in shared memory, so the runs of a forked child count too
+        keys = list(dict.fromkeys((spec._at.func, spec._at.args) for spec in default_candidates()))
+        counts = memoryview(mmap.mmap(-1, 8 * len(keys))).cast("q")
+
+        def counting(kernel, column):
+            def run(*args):
+                *params, rs, rcs = args
+                if len(rs) == 2000:
+                    counts[keys.index((kernel, tuple(params)))] += 1
+                return column(*args)
+            return run
+
+        for kernel, column in list(_COLUMN.items()):
+            monkeypatch.setitem(_COLUMN, kernel, counting(kernel, column))
+        made, fork = [], os.fork
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+        for _ in range(2):
+            counts[:] = array("q", [0] * len(keys))
+            assert len(run_suite("all", 2000)) == 42
+            assert counts.tolist() == [1] * len(keys)
+        assert len(made) == (2 if cpus == 2 else 0)
+        _assert_no_children()
+
+    def test_caller_takes_k_and_e_from_the_child(self, monkeypatch):
+        # bit for bit those of a table built here, and none of the main grid's AGM runs made here:
+        # this process runs the AGM as often as a lemma suite on a table with K and E built
+        caller, runs_here, agm_ke = os.getpid(), [0], ellipbounds.verify._agm_ke
+
+        def counting(r, rc):
+            runs_here[-1] += os.getpid() == caller
+            return agm_ke(r, rc)
+
+        monkeypatch.setattr(ellipbounds.verify, "_agm_ke", counting)
+        monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 2)
+        assert len(run_suite("all", 2000)) == 42
+        main = _grid_table(2000)
+        _grid_table.cache_clear()
+        runs_here.append(0)
+        _grid_table(2000).e
+        runs_here.append(0)
+        run_lemma_suite(2000)
+        assert runs_here[0] == runs_here[2] > 0 and runs_here[1] == 2000
+        monkeypatch.undo()
+        fresh = _Table(grid_open_unit(2000))
+        assert (main.k.tobytes(), main.e.tobytes()) == (fresh.k.tobytes(), fresh.e.tobytes())
+        assert main.frame is None
+        _assert_no_children()
