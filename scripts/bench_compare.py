@@ -103,7 +103,8 @@ def _passes(argvs: list[list[str]], passes: int) -> dict:
 
     fork, fan = forking.fork, dict.fromkeys(FAN_OUT, 0.0)
 
-    def stamped(child, caller, alone, what):
+    def stamped(frames, caller, *rest):
+        # rest is (what,), or (alone, what) in a checkout whose fork still takes a fallback
         t = [time.perf_counter()]
 
         def timed_caller(recv):
@@ -113,7 +114,7 @@ def _passes(argvs: list[list[str]], passes: int) -> dict:
             finally:
                 t[0] = time.perf_counter()
 
-        out = fork(child, timed_caller, alone, what)
+        out = fork(frames, timed_caller, *rest)
         fan["reap"] += time.perf_counter() - t[0]
         return out
 

@@ -19,15 +19,16 @@ A wrapper cannot see into that child, so the sections time the same call
 on its one-process path, with `_fork.cpus` pinning the checkout to one
 usable CPU.  For `all` there is also FAN_OUT, from passes with
 `run_suite` and the lemma suite time-stamped, `lemma26_classify` timed and
-the caller's reads of the child's frames timed through `verify.fork`:
+the caller's reads of frames timed through `verify.fork`:
   before the fork    from the entry of `run_suite` to the start of the lemma
                      suite: the main table's r and r', the pipe and the fork
                      (and K and E where the caller builds them before it)
   classification     the lemma suite's sign classifications, which run while
                      the child builds K and E where the checkout splits so
   wait for K and E   the caller's reads of a frame during the lemma suite:
-                     the wait for the child's K and E (0 where the caller
-                     builds them itself)
+                     the wait for the child's K and E, or their build here
+                     where no child starts (0 where the caller builds them
+                     before the lemma suite)
   rest of the lemma suite  the lemma suite less the two above
   child CPU          the child's CPU time, user and system: K and E where it
                      builds them, the sharpness and remarks suites and
@@ -116,8 +117,9 @@ def _child(suite: str, grid: int, passes: int) -> dict:
                     log.append((t0, time.perf_counter() - t0))
             return timed
 
-        def fork(child, caller, alone, what):
-            return originals[2](child, lambda recv: caller(logged(reads, recv)), alone, what)
+        def fork(frames, caller, *rest):
+            # rest is (what,), or (alone, what) in a checkout whose fork still takes a fallback
+            return originals[2](frames, lambda recv: caller(logged(reads, recv)), *rest)
 
         def within_lemmas(log) -> float:
             return sum(dt for t0, dt in log if stamps["lemmas"] <= t0 <= stamps["lemmas end"])

@@ -1,13 +1,13 @@
 """One forked child beside the calling process, for the commands that split
-their work in two: `verify --suite all` and a long `compare`.  They import
-this module when they have work to split, so `import ellipbounds` never
-compiles it."""
+their work in two, `verify --suite all` and a long `compare`, or their frames
+made here when no child starts.  They import this module when they have work
+to split, so `import ellipbounds` never compiles it."""
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import EllipBoundsError
 
@@ -17,14 +17,15 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fork(child: Callable, caller: Callable, alone: Callable, what: str) -> object:
-    """caller(recv) here while one forked child runs child(send): each recv() returns the bytes
-    of the next send(data), in order.  alone() instead, with neither run, where no child can
-    start: os.fork is missing, fewer than two CPUs are usable, another thread is alive, or
-    os.pipe or os.fork fails.  The result is that of the one that ran.  recv raises an
-    exception of child again, with its type and message, and EllipBoundsError naming what if
-    the child ended before the frame it waits for.  Any exception here kills the child, and the
-    child is reaped before this returns or raises.  Nothing is imported on the way to a result."""
+def fork(frames: Iterator[bytes], caller: Callable, what: str) -> object:
+    """caller(recv), each recv() returning the next frame of frames, a generator not yet started:
+    a forked child iterates it and writes each frame to a pipe that recv reads, or, where no child
+    can start (no os.fork, fewer than two usable CPUs, another live thread, or a failed os.pipe or
+    os.fork), recv is frames.__next__, which makes each frame here.  The result is caller's.  An
+    exception raised in frames reaches caller from recv with its type and message; a child's recv
+    raises EllipBoundsError naming what if the child ended before the frame it waits for.  Any
+    exception here kills the child, which is reaped before this returns or raises.  Nothing is
+    imported on the way to a result."""
     pid = None
     if hasattr(os, "fork") and cpus() >= 2 and threading.active_count() == 1:
         fds = ()
@@ -35,7 +36,7 @@ def fork(child: Callable, caller: Callable, alone: Callable, what: str) -> objec
             for fd in fds:
                 os.close(fd)
     if pid is None:
-        return alone()
+        return caller(frames.__next__)
     if pid == 0:  # the child: frames of a signed length and its bytes; an exit would flush the caller's files
         try:
             os.close(rfd)
@@ -44,7 +45,8 @@ def fork(child: Callable, caller: Callable, alone: Callable, what: str) -> objec
                     pipe.write((sign * len(data)).to_bytes(8, "little", signed=True))
                     pipe.write(data)
                 try:
-                    child(send)
+                    for data in frames:
+                        send(data)
                 except BaseException as exc:  # a negative length: raised again in the caller
                     import pickle
                     send(pickle.dumps(exc), -1)

@@ -172,28 +172,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # the CSV rows of the chunk from row i
         return "".join(map(row_fmt.__mod__, zip(*_columns(rs[i:i + _CHUNK], specs, split))))
 
-    def odd(send) -> None:
-        # in the child: every other chunk from the second, one frame each
+    def odd():
+        # every other chunk from the second, one frame each: a forked child's, or made here when read
         for i in starts[1::2]:
-            send(text(i).encode("ascii"))
+            yield text(i).encode("ascii")
 
     try:
         with open(args.output, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
 
-            def alone() -> None:
-                fh.writelines(map(text, starts))
-
             def both(recv) -> None:
-                # here: the other chunks, and the child's between them, in row order
+                # the other chunks, and the frames between them, in row order
                 for k, i in enumerate(starts):
                     fh.write(recv().decode("ascii") if k % 2 else text(i))
 
             if len(rs) < _FORK_LEAST:
-                alone()
+                fh.writelines(map(text, starts))
             else:
                 from ._fork import fork
-                fork(odd, both, alone, "compare")
+                fork(odd(), both, "compare")
     except OSError as exc:
         _err(f"cannot write {args.output!r}: {exc}")
         return EXIT_IO

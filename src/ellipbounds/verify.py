@@ -14,12 +14,11 @@ bounds._KERNELS, whose kernels read fixed (r, r') columns and need a scalar
 twin that these rows do not.  The grid tables of the last three sizes sit in
 one cache that run_suite empties on entry.
 
-run_suite("all") may use a second process: with two or more usable CPUs it
-builds the main grid's r' and forks one child, which builds that grid's K and
-E, sends them as its first frame and runs the sharpness and remarks suites,
-while the caller runs the lemma suite, sign classifications first, and takes
-K and E from that frame.  A table keeps the default specs' bound columns,
-which remarks 4.1 and 4.5 reread.  Results and errors are as in one process.
+run_suite("all") builds the main grid's r'; the caller then runs the lemma
+suite, sign classifications first, and reads two frames: that grid's K and E,
+then the sharpness and remarks suites' results.  A forked child makes them
+with two or more usable CPUs, else this process as they are read; results and
+errors are the same.  A table keeps the columns remarks 4.1 and 4.5 reread.
 
 Near r = 0 these combinations cancel catastrophically (the first three vanish
 like r^2, the last two like r^4), so each such column holds its Maclaurin
@@ -177,10 +176,10 @@ exec("".join(f"def {name}(t, {params}):\n"
 
 class _Table:
     """Columns over ascending radii r in (0, 1), each an array("d"); the others,
-    rc (r'), k and e (K and E, one AGM run per radius, or the bytes that the
-    slot frame, a forked child's recv, returns) and the cancelling columns
-    named in _SERIES, are built on first read and kept in vars(self).  The
-    slot bounds holds the bound columns that _bound_columns keeps."""
+    rc (r'), k and e (K and E, one AGM run per radius, or the bytes run_suite's
+    recv in the slot frame returns, which may build them here on this table)
+    and the cancelling columns named in _SERIES, are built on first read and
+    kept in vars(self).  The slot bounds holds the columns _bound_columns keeps."""
 
     __slots__ = ("__dict__", "bounds", "frame")
 
@@ -192,9 +191,10 @@ class _Table:
         if name == "rc":
             self.rc = col = array("d", map(_complement, self.r))
         elif name == "k" or name == "e":
-            if self.frame is not None:  # K's bytes, then E's
-                ke = array("d", self.frame())
-                ks, es, self.frame = ke[:len(self.r)], ke[len(self.r):], None
+            frame, self.frame = self.frame, None  # out of its slot first: a frame made here reads k and e
+            if frame is not None:  # K's bytes, then E's
+                ke = array("d", frame())
+                ks, es = ke[:len(self.r)], ke[len(self.r):]
             else:
                 ks, es = array("d"), array("d")
                 for k, e in map(_agm_ke, self.r, self.rc):
@@ -542,12 +542,15 @@ class NoCrossover:
 _SOLID = 1e-12
 
 
-# the (kernel, args) of the default specs: a table keeps their columns, at most 11, for its later scans
-_KEPT = frozenset((spec._at.func, spec._at.args) for spec in default_candidates())
+# the pairs (a, b) whose a - b remarks 4.1 and 4.5 scan on the main grid, where the validity checks
+# built each column first: a table keeps the columns of their (kernel, args), four, for its later scans
+_REMARK41 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
+_REMARK45 = BoundSpec(Family.COR31_LOWER), BoundSpec(Family.VUORINEN)
+_KEPT = frozenset((spec._at.func, spec._at.args) for spec in _REMARK41 + _REMARK45)
 
 
 def _bound_columns(t: _Table, *specs: BoundSpec) -> list[list[float]]:
-    # each spec's column over the table, computed once per table where every spec is a default one
+    # each spec's column over the table, computed once per table where every spec's column is kept
     kept = _KEPT.issuperset((spec._at.func, spec._at.args) for spec in specs)
     return _values(specs, t.r, t.rc, t.bounds if kept else {})
 
@@ -744,7 +747,6 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     upper-bound identity, global dominance over the classical lower bound,
     and the two crossover radii."""
     table = _grid_table(_size(grid_points))
-    aq, t11 = BoundSpec(Family.ALZER_QIU), BoundSpec(Family.THM11, q=ALPHA_STAR)
     coeff = 1.0 - 8.0 / _PI2
     worst42 = max(abs((1.0 + x * x) - ((MU_STAR + (1.0 - MU_STAR) * x) ** 2
                                        + ((1.0 - MU_STAR) + MU_STAR * x) ** 2) - coeff * (1.0 - x) ** 2)
@@ -752,13 +754,12 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
     # each identity: check name, detail line, largest residual on the grid, tolerance
     out = [_check(name, worst < tol, template, max_residual=worst, tol=tol) for name, template, worst, tol in [
         ("remark 4.1 coincidence", "max |alzer_qiu - thm11(alpha_star)| = {max_residual:.6g} (tol {tol:.6g})",
-         max(map(abs, _difference(aq, t11, table))), 1e-15),
+         max(map(abs, _difference(*_REMARK41, table))), 1e-15),
         ("remark 4.2 identity", "max residual {max_residual:.6g} (tol {tol:.6g})", worst42, 1e-14),
     ]]
 
-    vuo = BoundSpec(Family.VUORINEN)
     # the minima on r < 0.1 and on r >= 0.1, in one pass with no list of gaps
-    gaps = _difference(BoundSpec(Family.COR31_LOWER), vuo, table)
+    gaps = _difference(*_REMARK45, table)
     below = min(islice(gaps, bisect_left(table.r, 0.1)), default=math.inf)
     min_gap_mid = min(gaps, default=math.inf)
     min_gap = min(below, min_gap_mid)
@@ -772,7 +773,7 @@ def run_remarks_suite(grid_points: int = 10_000) -> list[CheckResult]:
         ("remark 4.3 crossover (cor31-upper vs alzer-qiu)", "delta1={delta:.12g} r*={r_cross:.12g}",
          BoundSpec(Family.COR31_UPPER), BoundSpec(Family.ALZER_QIU)),
         ("remark 4.4 crossover (thm11 lower vs vuorinen)", "delta2={delta:.12g} r*={r_cross:.12g}",
-         BoundSpec(Family.THM11, q=BETA_STAR), vuo),
+         BoundSpec(Family.THM11, q=BETA_STAR), BoundSpec(Family.VUORINEN)),
     ]:
         cross = find_crossover(a, b)
         if isinstance(cross, CrossoverResult):
@@ -787,36 +788,33 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     """The results of the named suite, or of all three in suite order (lemmas,
     sharpness, remarks), on a fresh table cache.
 
-    Several suites run in two processes where that can pay: os.fork exists,
-    two or more CPUs are usable and only the main thread is alive.  Then this
-    process checks the grid as the lemma suite does, builds the main grid's r'
-    and forks one child, which builds its K and E, sends them as its first
-    frame and runs the other suites, while this process runs the lemma suite,
-    whose first read of K or E takes that frame.  The child is reaped before
-    the call returns or raises; otherwise, or if no child starts, all run here.
-    Either way remarks 4.1 and 4.5 reread the validity checks' main-grid bound
-    columns, the results are the same, and so is the error raised: that of the
-    first failing suite in suite order.  A child that ends without a result
-    raises EllipBoundsError."""
+    For several suites this process checks the grid as the lemma suite does
+    and builds the main grid's r'; one caller path then runs the lemma suite
+    and reads two frames: the main grid's K and E, at the lemma suite's first
+    read of K or E, and the other suites' results.  A forked child
+    makes them while this process runs the lemma suite, where that can pay
+    (os.fork exists, two or more CPUs are usable and only the main thread is
+    alive), and is reaped before the call returns or raises; if no child
+    starts, each frame is made here as it is read.  Either way remarks 4.1 and
+    4.5 reread the validity checks' main-grid bound columns, the results are
+    the same, and so is the error raised: that of the first failing suite in
+    suite order.  A child that ends without a result raises EllipBoundsError."""
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     _grid_table.cache_clear()
     runs = [run for suite, run in zip(SUITE_NAMES, (run_lemma_suite, run_sharpness_suite, run_remarks_suite))
             if name in (suite, "all")]
 
-    def alone() -> list[CheckResult]:
-        return [res for run in runs for res in run(grid_points)]
-
     if len(runs) == 1:
-        return alone()
+        return runs[0](grid_points)
     # r' before the fork, so both processes share it; a grid the lemma suite rejects raises its error here
     table = _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have"))
     table.rc
 
-    def child(send: Callable[[bytes], None]) -> None:
-        send(table.k.tobytes() + table.e.tobytes())
-        send(marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
-                            for run in runs[1:] for res in run(grid_points)]))
+    def frames() -> Iterator[bytes]:
+        yield table.k.tobytes() + table.e.tobytes()
+        yield marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
+                             for run in runs[1:] for res in run(grid_points)])
 
     def caller(recv: Callable[[], bytes]) -> list[CheckResult]:
         table.frame = recv
@@ -827,4 +825,4 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
             table.frame = None
         return lemmas + [CheckResult(*t) for t in marshal.loads(recv())]
 
-    return fork(child, caller, alone, "sharpness and remarks")
+    return fork(frames(), caller, "sharpness and remarks")
