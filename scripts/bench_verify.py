@@ -18,8 +18,10 @@ for several suites may fork one child for the sharpness and remarks suites.
 A wrapper cannot see into that child, so the sections time the same call
 on its one-process path, with `_fork.cpus` pinning the checkout to one
 usable CPU.  For `all` there is also FAN_OUT, from passes with
-`run_suite` and the lemma suite time-stamped, `lemma26_classify` timed and
-the caller's reads of frames timed through `verify.fork`:
+`run_suite` and the lemma suite time-stamped, the suite's classifier timed
+and the caller's reads of frames timed through `verify.fork`.  The
+classifier is `_sign_case`, or `lemma26_classify` in a checkout without it,
+whose suite also bisected for each mixed case's eta:
   before the fork    from the entry of `run_suite` to the start of the lemma
                      suite: the main table's r and r', the pipe and the fork
                      (and K and E where the caller builds them before it)
@@ -76,15 +78,22 @@ SECTIONS = [
     ("tables", "_Table.__init__"),
     (_column, "_Table.__getattr__"),
     ("sweeps", "sweep_monotone"),
-    ("classification", "lemma26_classify"),
+    ("classification", "_sign_case"),
     ("validity", "run_sharpness_suite"),
     ("falsifiers", "search_violation"),
     ("remarks", "run_remarks_suite"),
 ]
 
 
+# the function a checkout without the key does the section's work in
+OLDER = {"_sign_case": "lemma26_classify"}
+
+
 def _child(suite: str, grid: int, passes: int) -> dict:
     from ellipbounds import _fork, verify
+
+    def own(owner, name: str) -> str:
+        return name if name in vars(owner) else OLDER[name]
 
     def one_pass() -> None:
         verify.run_suite(suite, grid)
@@ -95,7 +104,7 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     fan_out: dict[str, float] = {}
     if suite == "all":
         stamps: dict[str, float] = {}
-        # (start, duration) of each lemma26_classify call and of each read of a frame in the caller
+        # (start, duration) of each classifier call and of each read of a frame in the caller
         classified: list[tuple[float, float]] = []
         reads: list[tuple[float, float]] = []
 
@@ -134,7 +143,7 @@ def _child(suite: str, grid: int, passes: int) -> dict:
             return dict(zip(FAN_OUT, (stamps["lemmas"] - stamps["fan"], sorting, waiting,
                                       lemmas - sorting - waiting, _ab.children_cpu() - cpu)))
 
-        names = ("run_suite", "run_lemma_suite", "fork", "lemma26_classify")
+        names = ("run_suite", "run_lemma_suite", "fork", own(verify, "_sign_case"))
         originals = [getattr(verify, name) for name in names]
         wrapped = [stamped("fan", originals[0]), stamped("lemmas", originals[1]), fork,
                    logged(classified, originals[3])]
@@ -166,6 +175,7 @@ def _child(suite: str, grid: int, passes: int) -> dict:
     for section, path in SECTIONS:
         owner, _, name = path.rpartition(".")
         owner = getattr(verify, owner) if owner else verify
+        name = own(owner, name)
         setattr(owner, name, wrap(section, vars(owner)[name]))
 
     def sectioned() -> dict[str, float]:

@@ -9,7 +9,6 @@ identical invocations produce identical bytes on stdout and in files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -153,6 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    import csv  # here, not at the top: no other command loads csv and _csv
     grid = GridSpec(start=args.start, end=args.end, points=args.points,
                     spacing=Spacing(args.spacing))
     specs = _parse_families(args.families)

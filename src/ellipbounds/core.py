@@ -41,11 +41,13 @@ HALF_PI = math.pi / 2.0
 _EPS = math.ulp(1.0)
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
-# Quadratic convergence makes 40 iterations unreachable in practice; the cap
-# only guards against non-finite garbage sneaking through.
+# Quadratic convergence makes 40 iterations unreachable for any r in [0, 1);
+# the cap stops only a gap that never closes: r' = 0, or a nan or infinite one.
 _AGM_MAX_ITER = 40
 # the AGM stops once |a_n - b_n| <= _AGM_TOL a_n
 _AGM_TOL = 4.0 * _EPS
+# _agm_ke's weight 2^(n-3) before round n is below this for the first _AGM_MAX_ITER rounds
+_AGM_W_CAP = 2.0 ** (_AGM_MAX_ITER - 2)
 
 
 def _complement(r: float) -> float:
@@ -203,18 +205,16 @@ def _agm_ke(r: float, r_comp: float) -> tuple[float, float]:
     # K and E from one AGM run; K diverges at r = 1.
     if r == 1.0:
         raise DivergenceError("K(r) diverges as r -> 1")
-    sqrt, tol = math.sqrt, _AGM_TOL
-    a, b = 1.0, r_comp
-    c = r
-    csum = 0.5 * c * c
-    pow2 = 1.0
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= tol * a:
-            break
-        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
-        csum += pow2 * c * c
-        pow2 *= 2.0
-    k = math.pi / (2.0 * a)
+    sqrt, a, b = math.sqrt, 1.0, r_comp
+    # round n adds 2^(n-1) c_n^2 as w d^2, w = 2^(n-3) and d the gap before it: the same bits, as d is 0
+    # or far above the subnormals; "not <=" keeps a nan gap going, so a nan r' gives (nan, nan)
+    csum, w, d = 0.5 * r * r, 0.25, a - b
+    while not abs(d) <= _AGM_TOL * a and w < _AGM_W_CAP:
+        csum += w * d * d
+        w *= 2.0
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        d = a - b
+    k = HALF_PI / a  # pi / (2 a) to the last bit, as halving pi is exact
     return k, k * (1.0 - csum)
 
 

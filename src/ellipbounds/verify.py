@@ -15,7 +15,7 @@ twin that these rows do not.  The grid tables of the last three sizes sit in
 one cache that run_suite empties on entry.
 
 run_suite("all") builds the main grid's r'; the caller then runs the lemma
-suite, sign classifications first, and reads two frames: that grid's K and E,
+suite, sign cases (no eta) first, and reads two frames: the grid's K and E,
 then the sharpness and remarks suites' results.  A forked child makes them
 with two or more usable CPUs, else this process as they are read; results and
 errors are the same.  A table keeps the columns remarks 4.1 and 4.5 reread.
@@ -176,10 +176,10 @@ exec("".join(f"def {name}(t, {params}):\n"
 
 class _Table:
     """Columns over ascending radii r in (0, 1), each an array("d"); the others,
-    rc (r'), k and e (K and E, one AGM run per radius, or the bytes run_suite's
-    recv in the slot frame returns, which may build them here on this table)
-    and the cancelling columns named in _SERIES, are built on first read and
-    kept in vars(self).  The slot bounds holds the columns _bound_columns keeps."""
+    rc (r'), k and e (both from one pass of one AGM run per radius, or the bytes
+    run_suite's recv in the slot frame returns, which may build them here on this
+    table) and the cancelling columns named in _SERIES, are built on first read
+    and kept in vars(self).  The slot bounds holds the columns _bound_columns keeps."""
 
     __slots__ = ("__dict__", "bounds", "frame")
 
@@ -196,10 +196,7 @@ class _Table:
                 ke = array("d", frame())
                 ks, es = ke[:len(self.r)], ke[len(self.r):]
             else:
-                ks, es = array("d"), array("d")
-                for k, e in map(_agm_ke, self.r, self.rc):
-                    ks.append(k)
-                    es.append(e)
+                ks, es = map(array, "dd", zip(*map(_agm_ke, self.r, self.rc)))
             self.k, self.e = ks, es
             col = ks if name == "k" else es
         elif name in _SERIES:
@@ -475,27 +472,36 @@ def _bisect(keeps_lo: Callable[[float, float], bool], lo: float, hi: float, widt
     return 0.5 * (lo + hi)
 
 
+def _sign_case(u: float, p: float, n: int) -> tuple[SignCase, tuple[float, float] | None]:
+    # the sign case of f at checked floats u and p on the n-point grid, with the grid bracket (r0, r1)
+    # of its flip in the mixed case; samples all beyond the floor on one side need no (r, f) pairs
+    table = _grid_table(n)
+    fs = _l26_f(table, u, p)
+    if min(fs) > _SIGN_TOL or max(fs) < -_SIGN_TOL:
+        return SignCase.ALL_POSITIVE if fs[0] > 0.0 else SignCase.ALL_NEGATIVE, None
+    solid, flips = _sign_changes(table.r, fs, _SIGN_TOL)
+    if not solid:
+        raise VerificationError(f"all {n} samples of f(u={u}, p={p}) are below the sign floor")
+    starts_positive = solid[0][1] > 0
+    if not flips:
+        return SignCase.ALL_POSITIVE if starts_positive else SignCase.ALL_NEGATIVE, None
+    if len(flips) == 1 and starts_positive:
+        return SignCase.POSITIVE_THEN_NEGATIVE, flips[0][:2]
+    raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
+                            f"starting {'positive' if starts_positive else 'negative'}")
+
+
 def lemma26_classify(u: float, p: float, grid: int = 256) -> SignCaseReport:
     """Sample the log-ratio function on a grid, classify its sign pattern,
     and locate the sign-change radius eta by bisection (to 1e-10) in the
     mixed case.  Samples within 5e-15 of zero are treated as indeterminate;
     any pattern other than all-negative, all-positive, or a single
-    positive-to-negative flip raises VerificationError."""
+    positive-to-negative flip raises VerificationError.  The lemma suite
+    classifies as this does but locates no eta."""
     n = _size(grid, 100, "classification grid must have")
     uf, pf = _param("u", u), _param("p", p)
-    table = _grid_table(n)
-    solid, flips = _sign_changes(table.r, _l26_f(table, uf, pf), _SIGN_TOL)
-    if not solid:
-        raise VerificationError(f"all {n} samples of f(u={u}, p={p}) are below the sign floor")
-    starts_positive, eta = solid[0][1] > 0, None
-    if not flips:
-        case = SignCase.ALL_POSITIVE if starts_positive else SignCase.ALL_NEGATIVE
-    elif len(flips) == 1 and starts_positive:
-        case = SignCase.POSITIVE_THEN_NEGATIVE
-        eta = _bisect(lambda r, _: _l26_f(_Table((r,)), uf, pf)[0] > 0.0, *flips[0][:2], 1e-10)
-    else:
-        raise VerificationError(f"inconsistent sign pattern: {len(flips)} sign change(s), "
-                                f"starting {'positive' if starts_positive else 'negative'}")
+    case, flip = _sign_case(uf, pf, n)
+    eta = None if flip is None else _bisect(lambda r, _: _l26_f(_Table((r,)), uf, pf)[0] > 0.0, *flip, 1e-10)
     return SignCaseReport(u=uf, p=pf, case_id=case, eta=eta, grid_size=n)
 
 
@@ -662,17 +668,11 @@ _SWEEP = {True: _LEFT + "right=divergent grid={grid}",
 
 def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Monotonicity sweeps for every auxiliary function on one shared grid
-    table, the two-sided threshold inequality on a p-grid, and the sign-case
-    classification sample on one shared 256-point table, in that order; the
-    classifications run first, while a forked run_suite builds K and E."""
+    table, the two-sided threshold inequality on a p-grid, and the sign case,
+    not eta, of each lemma 2.6 sample on one shared 256-point table, in that
+    order; the cases come first, while a forked run_suite builds K and E."""
     sample = lemma26_case_sample()
-    bad = []
-    for u, p, expected in sample:
-        rep = lemma26_classify(u, p, 256)
-        if rep.case_id is not expected:
-            bad.append((u, p, expected.value, rep.case_id.value))
-        elif rep.case_id is SignCase.POSITIVE_THEN_NEGATIVE and not (0.0 < rep.eta < 1.0):
-            bad.append((u, p, "eta in (0,1)", rep.eta))
+    bad = [(u, p, want.value, case.value) for u, p, want in sample if (case := _sign_case(u, p, 256)[0]) is not want]
 
     out: list[CheckResult] = []
     # every sweep in table order, h once per sampled exponent p

@@ -759,6 +759,23 @@ print(states)
 """, env={"ELLIP_GRID_POINTS": "1000"})
         assert out == "[True, True, True, True, True]\n"
 
+    def test_only_compare_loads_csv(self):
+        # compare writes its header with csv, which it imports itself
+        out = run_fresh("""
+import contextlib, io, sys
+import ellipbounds.cli
+UNLOADED = lambda: "csv" not in sys.modules and "_csv" not in sys.modules
+states = [UNLOADED()]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["eval", "--what", "E", "--r", "0.5"],
+                 ["enclose", "--r", "0.5", "--families", "all"],
+                 ["verify", "--suite", "remarks"],
+                 ["crossover", "--a", "cor31-upper", "--b", "alzer-qiu"]):
+        states.append(ellipbounds.cli.main(argv) == 0 and UNLOADED())
+print(states)
+""", env={"ELLIP_GRID_POINTS": "1000"})
+        assert out == "[True, True, True, True, True]\n"
+
     def test_verify_loads_neither_fractions_nor_decimal(self):
         # the series coefficients are int quotients written in the source, not built in Fraction
         out = run_fresh("""

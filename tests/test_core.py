@@ -152,6 +152,54 @@ class TestCompleteE:
         assert ke.k_val >= ke.e_val
 
 
+def _agm_ke_loop(r, r_comp):
+    # the AGM kernel as a for loop over 40 rounds that tests and halves a - b
+    # separately, its stop tolerance 4 eps: the reference for core._agm_ke
+    sqrt, tol = math.sqrt, 4.0 * EPS
+    a, b = 1.0, r_comp
+    c = r
+    csum = 0.5 * c * c
+    pow2 = 1.0
+    for _ in range(40):
+        if abs(a - b) <= tol * a:
+            break
+        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
+        csum += pow2 * c * c
+        pow2 *= 2.0
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - csum)
+
+
+# (r, r') at radii at the ends of [0, 1) and of the float range, then direct calls:
+# the 40-round cap (r' = 0), a nan r' (which must give (nan, nan), not stop at
+# once), a nan r, an r' of 1e-300 and an infinite r'
+AGM_CALLS = [(r, core._complement(r)) for r in (0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53)]
+AGM_CALLS += [(0.5, 0.0), (0.5, math.nan), (math.nan, 0.5), (0.3, 1e-300), (0.9, math.inf)]
+
+
+def _kernel_bits(r, rc):
+    # (K, E) as hex from core._agm_ke and from the loop form
+    return [[x.hex() for x in kernel(r, rc)] for kernel in (core._agm_ke, _agm_ke_loop)]
+
+
+class TestAgmKernel:
+    @given(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                     st.integers(1, 53).map(lambda n: 1.0 - 2.0**-n),
+                     st.floats(min_value=-1074.0, max_value=-1.0).map(lambda x: 2.0**x)))
+    @settings(max_examples=500)
+    def test_matches_the_loop_form_bit_for_bit(self, r):
+        new, loop = _kernel_bits(r, core._complement(r))
+        assert new == loop
+
+    @pytest.mark.parametrize("r, rc", AGM_CALLS, ids=repr)
+    def test_edge_calls_match_the_loop_form_bit_for_bit(self, r, rc):
+        new, loop = _kernel_bits(r, rc)
+        assert new == loop
+
+    def test_nan_complement_gives_nan(self):
+        assert all(map(math.isnan, core._agm_ke(0.5, math.nan)))
+
+
 # The point calls run _agm_ke themselves; the row tuple _row gives the reference.
 def _row_e(m):
     r = _radius(m)

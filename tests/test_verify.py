@@ -68,6 +68,7 @@ from ellipbounds.verify import (
     _falsifier_plan,
     _grid_table,
     _horner,
+    _sign_case,
     grid_open_unit,
     lemma26_case_sample,
     lemma26_expected_case,
@@ -392,6 +393,32 @@ class TestLemma26:
         for u, p in [("0.3", "1.0"), (True, 1), (numpy.float64(0.3), numpy.int64(1))]:
             rep = lemma26_classify(u, p)
             assert [(type(x), x) for x in (rep.u, rep.p)] == [(float, float(u)), (float, float(p))]
+
+    def test_suite_classifier_is_classify_without_eta(self):
+        # the lemma suite's classifier gives lemma26_classify's case on every sample, and
+        # in the mixed case the grid bracket that lemma26_classify bisects for eta
+        for u, p, _ in lemma26_case_sample():
+            rep, (case, flip) = lemma26_classify(u, p), _sign_case(u, p, 256)
+            assert case is rep.case_id
+            assert (flip is None) is (rep.eta is None)
+            assert flip is None or flip[0] <= rep.eta <= flip[1]
+
+    def test_one_sided_short_cut_is_the_general_scan(self, monkeypatch):
+        # samples all beyond the floor on one side skip the (r, f) pairs; with min and
+        # max shadowed in verify no sample looks one-sided, so every sample takes the
+        # general scan, and each gets the same case and bracket
+        sample, paired = lemma26_case_sample(), []
+        sign_changes = ellipbounds.verify._sign_changes
+        monkeypatch.setattr(ellipbounds.verify, "_sign_changes",
+                            lambda *args: paired.append(1) or sign_changes(*args))
+        short = [_sign_case(u, p, 256) for u, p, _ in sample]
+        # the 25 mixed samples, and the 5 at u = 1/(4p), whose f vanishes like r^4 and
+        # so lies within the floor at the first grid points
+        assert len(paired) == 30
+        monkeypatch.setattr(ellipbounds.verify, "min", lambda fs: -math.inf, raising=False)
+        monkeypatch.setattr(ellipbounds.verify, "max", lambda fs: math.inf, raising=False)
+        assert [_sign_case(u, p, 256) for u, p, _ in sample] == short
+        assert len(paired) == 30 + len(sample)
 
 
 class TestLemma27:
@@ -754,9 +781,9 @@ class TestColumnScans:
         for _ in range(2):
             counts[0] = counts[1] = 0
             run_suite("all", grid_points=2000)
-            # one run per radius of the 2000-, 256- and 1000-point tables, plus
-            # the bisection and golden-section steps
-            assert 2000 + 256 + 1000 <= counts[0] + counts[1] <= 2000 + 2500
+            # one run per radius of the 2000-, 256- and 1000-point tables, plus the
+            # falsifiers' golden-section steps: the sign cases bisect for no eta
+            assert 2000 + 256 + 1000 <= counts[0] + counts[1] <= 2000 + 256 + 1000 + 500
 
     @pytest.mark.parametrize("suite, built", [("sharpness", BASE), ("remarks", ("r", "rc"))])
     def test_suite_builds_only_the_columns_it_reads(self, suite, built):
@@ -782,6 +809,23 @@ class TestColumnScans:
         steps = [vars(t) for t in tables if len(t.r) == 1]
         assert len(steps) > 20
         assert all(sorted(step) == sorted(BASE + ("wmh",)) for step in steps)
+
+    def test_lemma_suite_bisects_nothing(self, monkeypatch):
+        # the suite classifies the sign cases without eta: no bisection and no one-row table
+        bisected, tables = [], []
+
+        class Recorded(_Table):
+            def __init__(self, rs):
+                super().__init__(rs)
+                tables.append(self)
+
+        monkeypatch.setattr(ellipbounds.verify, "_Table", Recorded)
+        monkeypatch.setattr(ellipbounds.verify, "_bisect", lambda *args: bisected.append(args))
+        _grid_table.cache_clear()
+        run_lemma_suite(1000)
+        _grid_table.cache_clear()
+        assert bisected == []
+        assert sorted(len(t.r) for t in tables) == [256, 1000]
 
 
 class TestSuites:
@@ -868,24 +912,14 @@ class TestFailureLines:
         assert res.detail == ("dir=increasing worst_violation=0.000910618 left_err=9.81437e-14(tol 0.001) "
                               "right_err=1.12212e-11(tol 0.001) grid=1000")
 
-    @pytest.mark.parametrize("flaw, detail", [
-        ({"case_id": SignCase.ALL_POSITIVE},
+    @pytest.mark.parametrize("case, detail", [
+        (SignCase.ALL_POSITIVE,
          "45/100 (u,p) samples classified as predicted; "
          "first mismatch (0.025, 0.5, 'all-negative', 'all-positive')"),
-        ({"eta": 1.5},
-         "75/100 (u,p) samples classified as predicted; "
-         "first mismatch (0.5181708407416107, 0.5, 'eta in (0,1)', 1.5)"),
-    ], ids=["case", "eta"])
-    def test_sign_case_mismatch(self, monkeypatch, flaw, detail):
-        classify = ellipbounds.verify.lemma26_classify
-
-        def flawed(u, p, grid=256):
-            rep = classify(u, p, grid)
-            if "eta" in flaw and rep.case_id is not SignCase.POSITIVE_THEN_NEGATIVE:
-                return rep  # only the mixed case has an eta
-            return _replace(rep, **flaw)
-
-        monkeypatch.setattr(ellipbounds.verify, "lemma26_classify", flawed)
+    ], ids=["case"])
+    def test_sign_case_mismatch(self, monkeypatch, case, detail):
+        sign_case = ellipbounds.verify._sign_case
+        monkeypatch.setattr(ellipbounds.verify, "_sign_case", lambda u, p, n: (case, sign_case(u, p, n)[1]))
         res = run_lemma_suite(1000)[-1]
         assert (res.name, res.passed, res.detail) == ("lemma26 sign cases", False, detail)
 
