@@ -14,11 +14,11 @@ bounds._KERNELS, whose kernels read fixed (r, r') columns and need a scalar
 twin that these rows do not.  The grid tables of the last three sizes sit in
 one cache that run_suite empties on entry.
 
-run_suite("all") builds the main grid's r'; the caller then runs the lemma
-suite, sign cases (no eta) first, and reads two frames: the grid's K and E,
-then the sharpness and remarks suites' results.  A forked child makes them
-with two or more usable CPUs, else this process as they are read; results and
-errors are the same.  A table keeps the columns remarks 4.1 and 4.5 reread.
+run_suite("all") builds the main grid's r', K and E; the caller then runs the
+lemma suite and reads one frame, the sharpness and remarks suites' results.
+A forked child, which shares the grid's columns, makes it with two or more
+usable CPUs, else this process as it is read; results and errors are the
+same.  A table keeps the columns remarks 4.1 and 4.5 reread.
 
 Near r = 0 these combinations cancel catastrophically (the first three vanish
 like r^2, the last two like r^4), so each such column holds its Maclaurin
@@ -176,29 +176,24 @@ exec("".join(f"def {name}(t, {params}):\n"
 
 class _Table:
     """Columns over ascending radii r in (0, 1), each an array("d"); the others,
-    rc (r'), k and e (both from one pass of one AGM run per radius, or the bytes
-    run_suite's recv in the slot frame returns, which may build them here on this
-    table) and the cancelling columns named in _SERIES, are built on first read
-    and kept in vars(self).  The slot bounds holds the columns _bound_columns keeps."""
+    rc (r'), k and e (both from one pass of one AGM run per radius) and the
+    cancelling columns named in _SERIES, are built on first read and kept in
+    vars(self).  The slot bounds holds the columns _bound_columns keeps."""
 
-    __slots__ = ("__dict__", "bounds", "frame")
+    __slots__ = ("__dict__", "bounds")
 
     def __init__(self, rs: Iterable[float]) -> None:
-        self.r, self.bounds, self.frame = array("d", rs), {}, None
+        self.r, self.bounds = array("d", rs), {}
 
     def __getattr__(self, name: str) -> array:
         # only for a column not built yet; no self.__dict__ read, which slows CPython 3.11's later reads
         if name == "rc":
             self.rc = col = array("d", map(_complement, self.r))
         elif name == "k" or name == "e":
-            frame, self.frame = self.frame, None  # out of its slot first: a frame made here reads k and e
-            if frame is not None:  # K's bytes, then E's
-                ke = array("d", frame())
-                ks, es = ke[:len(self.r)], ke[len(self.r):]
-            else:
-                ks, es = map(array, "dd", zip(*map(_agm_ke, self.r, self.rc)))
-            self.k, self.e = ks, es
-            col = ks if name == "k" else es
+            # K and E of each radius in turn, with no (K, E) tuple kept
+            ke = array("d", chain.from_iterable(map(_agm_ke, self.r, self.rc)))
+            self.k, self.e = ke[::2], ke[1::2]
+            col = self.k if name == "k" else self.e
         elif name in _SERIES:
             # the column's row _name, then the series in the rows below the cutoff (r < cutoff exactly)
             cut, unit, coeffs = _SERIES[name]
@@ -670,10 +665,7 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     """Monotonicity sweeps for every auxiliary function on one shared grid
     table, the two-sided threshold inequality on a p-grid, and the sign case,
     not eta, of each lemma 2.6 sample on one shared 256-point table, in that
-    order; the cases come first, while a forked run_suite builds K and E."""
-    sample = lemma26_case_sample()
-    bad = [(u, p, want.value, case.value) for u, p, want in sample if (case := _sign_case(u, p, 256)[0]) is not want]
-
+    order."""
     out: list[CheckResult] = []
     # every sweep in table order, h once per sampled exponent p
     plan = [(fn, dict.fromkeys(sd.params, p)) for fn, sd in _SWEEPS.items()
@@ -694,6 +686,8 @@ def run_lemma_suite(grid_points: int = 10_000) -> list[CheckResult]:
     out.append(_check("lemma25 threshold gaps", lo > 0.0 and hi > 0.0,
                       "min lower_margin={lower_margin:.6g} min upper_margin={upper_margin:.6g} "
                       "over {p_values} p-values", lower_margin=lo, upper_margin=hi, p_values=len(margins)))
+    sample = lemma26_case_sample()
+    bad = [(u, p, want.value, case.value) for u, p, want in sample if (case := _sign_case(u, p, 256)[0]) is not want]
     mismatch = {"first_mismatch": bad[0]} if bad else {}
     out.append(_check("lemma26 sign cases", not bad,
                       "{as_predicted}/{samples} (u,p) samples classified as predicted"
@@ -789,16 +783,16 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
     sharpness, remarks), on a fresh table cache.
 
     For several suites this process checks the grid as the lemma suite does
-    and builds the main grid's r'; one caller path then runs the lemma suite
-    and reads two frames: the main grid's K and E, at the lemma suite's first
-    read of K or E, and the other suites' results.  A forked child
-    makes them while this process runs the lemma suite, where that can pay
-    (os.fork exists, two or more CPUs are usable and only the main thread is
-    alive), and is reaped before the call returns or raises; if no child
-    starts, each frame is made here as it is read.  Either way remarks 4.1 and
-    4.5 reread the validity checks' main-grid bound columns, the results are
-    the same, and so is the error raised: that of the first failing suite in
-    suite order.  A child that ends without a result raises EllipBoundsError."""
+    and builds the main grid's r', K and E; one caller path then runs the
+    lemma suite and reads one frame, the other suites' results.  A forked
+    child, which shares the grid's columns, makes it while this process runs
+    the lemma suite, where that can pay (os.fork exists, two or more CPUs are
+    usable and only the main thread is alive), and is reaped before the call
+    returns or raises; if no child starts, the frame is made here as it is
+    read.  Either way remarks 4.1 and 4.5 reread the validity checks'
+    main-grid bound columns, the results are the same, and so is the error
+    raised: that of the first failing suite in suite order.  A child that ends
+    without a result raises EllipBoundsError."""
     if name not in SUITE_NAMES:
         raise ConfigurationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     _grid_table.cache_clear()
@@ -807,22 +801,12 @@ def run_suite(name: str, grid_points: int = 10_000) -> list[CheckResult]:
 
     if len(runs) == 1:
         return runs[0](grid_points)
-    # r' before the fork, so both processes share it; a grid the lemma suite rejects raises its error here
-    table = _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have"))
-    table.rc
+    # r', K and E before the fork, so both processes share them; a grid the lemma suite rejects raises its error here
+    _grid_table(_size(grid_points, _SWEEP_LEAST, "sweep grid must have")).e
 
     def frames() -> Iterator[bytes]:
-        yield table.k.tobytes() + table.e.tobytes()
         yield marshal.dumps([(res.name, res.passed, res.detail, res.metrics)
                              for run in runs[1:] for res in run(grid_points)])
 
-    def caller(recv: Callable[[], bytes]) -> list[CheckResult]:
-        table.frame = recv
-        try:
-            lemmas = runs[0](grid_points)
-            table.e  # the frame of K and E precedes the results, if the lemma suite did not read it
-        finally:
-            table.frame = None
-        return lemmas + [CheckResult(*t) for t in marshal.loads(recv())]
-
-    return fork(frames(), caller, "sharpness and remarks")
+    return fork(frames(), lambda recv: runs[0](grid_points) + [CheckResult(*t) for t in marshal.loads(recv())],
+                "sharpness and remarks")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from array import array
 from pathlib import Path
 from types import SimpleNamespace
@@ -1134,8 +1135,8 @@ class TestFanOut:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out needs os.fork")
 class TestSplitTableBuild:
-    # run_suite("all") forks right after r and r': the child builds the main grid's K and E and sends
-    # them as its first frame, and in both processes the scans share the main grid's bound columns
+    # run_suite("all") builds the main grid's r, r', K and E before it forks, so the child inherits
+    # them and sends back only its results, and in both processes the scans share the main grid's bound columns
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_each_main_grid_bound_column_is_built_once(self, monkeypatch, cpus):
         # one counter per distinct (kernel, args) in shared memory, so the runs of a forked child count too
@@ -1162,27 +1163,49 @@ class TestSplitTableBuild:
         assert len(made) == (2 if cpus == 2 else 0)
         _assert_no_children()
 
-    def test_caller_takes_k_and_e_from_the_child(self, monkeypatch):
-        # bit for bit those of a table built here, and none of the main grid's AGM runs made here:
-        # this process runs the AGM as often as a lemma suite on a table with K and E built
-        caller, runs_here, agm_ke = os.getpid(), [0], ellipbounds.verify._agm_ke
+    def test_caller_builds_k_and_e_before_the_fork(self, monkeypatch):
+        # one counter per process in shared memory for the AGM runs of the 2000-row table's K and E:
+        # all of them made here, none in the child, which inherits the columns
+        counts = memoryview(mmap.mmap(-1, 16)).cast("q")
+        caller, building, agm_ke, getattr_ = os.getpid(), [0], ellipbounds.verify._agm_ke, _Table.__getattr__
 
         def counting(r, rc):
-            runs_here[-1] += os.getpid() == caller
+            counts[os.getpid() != caller] += building[-1] == 2000
             return agm_ke(r, rc)
 
+        def build(table, name):
+            # the length of the table whose column is being built, innermost last
+            building.append(len(table.r))
+            try:
+                return getattr_(table, name)
+            finally:
+                building.pop()
+
         monkeypatch.setattr(ellipbounds.verify, "_agm_ke", counting)
+        monkeypatch.setattr(_Table, "__getattr__", build)
+        made, fork = [], os.fork
         monkeypatch.setattr(ellipbounds._fork, "cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
         assert len(run_suite("all", 2000)) == 42
+        assert len(made) == 1
+        assert counts.tolist() == [2000, 0]
         main = _grid_table(2000)
-        _grid_table.cache_clear()
-        runs_here.append(0)
-        _grid_table(2000).e
-        runs_here.append(0)
-        run_lemma_suite(2000)
-        assert runs_here[0] == runs_here[2] > 0 and runs_here[1] == 2000
         monkeypatch.undo()
         fresh = _Table(grid_open_unit(2000))
         assert (main.k.tobytes(), main.e.tobytes()) == (fresh.k.tobytes(), fresh.e.tobytes())
-        assert main.frame is None
+        assert not hasattr(main, "frame") and "frame" not in _Table.__slots__
         _assert_no_children()
+
+    def test_k_and_e_build_keeps_no_pairs(self):
+        # one flat array of K and E, radius by radius, then its halves: no (K, E) tuple per row is
+        # held at once, which for 10^4 rows would take ~1.75 MB where the arrays take ~0.32 MB
+        table = _Table(grid_open_unit(10_000))
+        table.rc
+        tracemalloc.start()
+        try:
+            table.e
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert len(table.k) == len(table.e) == 10_000
